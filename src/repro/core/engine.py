@@ -1,13 +1,13 @@
 """The distributed traversal engine (paper §IV and §V, Figures 3 and 4).
 
-:class:`TraversalEngine` executes level-synchronous super-steps of any
-:class:`repro.core.programs.FrontierProgram` over a degree-separated
-:class:`repro.partition.PartitionedGraph`:
+:class:`TraversalEngine` runs every frontier program through one
+level-synchronous super-step driver, :meth:`TraversalEngine.run_steps`,
+over a degree-separated :class:`repro.partition.PartitionedGraph`.  Each
+super-step has the same stages, whatever the program:
 
-1. **Local computation** on every virtual GPU (Fig. 3): previsit kernels
-   filter the input frontiers and compute forward workloads; then one visit
-   kernel per subgraph runs in the direction chosen by its own
-   direction-optimization state —
+1. **Plan and direction** (Fig. 3): previsit filters trim every GPU's input
+   frontier per subgraph, and one visit task per subgraph is chosen in the
+   direction its own direction-optimization state picks —
 
    * nn (normal→normal): always forward; its discoveries are *remote* normal
      updates that enter the exchange stage,
@@ -17,34 +17,52 @@
      backward pulls let unvisited local normals search their delegate parents,
    * dd (delegate→delegate): both directions stay within the delegates.
 
-2. **Communication** (Fig. 4): the nn outputs are binned, converted to 32-bit
-   local ids and exchanged point-to-point (optionally with local-all2all and
-   uniquify, and with an 8-byte value payload when the program needs one);
-   delegate updates are reduced in two phases (NVLink within a rank,
-   tree-like (I)AllReduce between ranks) whenever any GPU produced an update
-   — as 1-bit visited masks for BFS-style programs, or as 64-bit values for
-   programs whose vertex state carries a payload.
+2. **Kernels**: the plan's per-GPU visit tasks run on an execution backend.
 
-What a discovered vertex *means* — the value it stores, when an update is
-accepted, how duplicate proposals merge — is the program's business; the
-engine only moves frontiers, runs kernels and accounts modeled time in the
-paper's four phases (computation/communication overlap is modeled with a
-configurable efficiency as described in §VI-B).
+3. **Fold and communication** (Fig. 4): the program folds the kernel
+   outputs; the nn outputs are binned, converted to 32-bit local ids and
+   exchanged point-to-point (optionally with local-all2all and uniquify,
+   and with an 8-byte value payload when the program needs one); delegate
+   updates are reduced in two phases (NVLink within a rank, tree-like
+   (I)AllReduce between ranks) whenever any GPU produced an update.  The
+   step's modeled time is computed in the paper's four phases, with
+   computation/communication overlap at a configurable efficiency (§VI-B).
 
-*Where* the kernels run is a third concern, owned by neither engine nor
-program: each super-step is described as a declarative
-:class:`repro.exec.SuperStepPlan` (per-GPU kernel tasks as pure data; the
-exchange, delegate reduction and program folds behind the plan's
-``finalize``) and handed to an :class:`repro.exec.ExecutionBackend` —
-``"inline"`` for the classic in-process simulator, ``"process"`` for a
-persistent worker pool over shared-memory CSR buffers.  Results, workload
-counters and modeled times are backend-independent; only the measured
-``wall_s`` phases change.
+What differs between programs is only the *frontier representation*, a
+:class:`StepFrontier`:
 
-For mutable graphs (:mod:`repro.dynamic`) the loops accept two extensions:
-a pre-seeded ``init`` replacing the program's ``init_state`` (the
-resumable-from-frontier entry point incremental repair starts from) and an
-``overlay`` of not-yet-compacted edge insertions, relaxed from each
+* :class:`ValueFrontier` — one int64 value per vertex plus the changed-vertex
+  frontiers (:class:`repro.core.state.TraversalState`); it runs every
+  :class:`repro.core.programs.FrontierProgram` (:meth:`TraversalEngine.run`),
+  delegating what a discovered vertex *means* — its value, acceptance and
+  duplicate merging — to the program's hooks, with 1-bit delegate masks or
+  64-bit delegate values on the reduction;
+* :class:`LaneFrontier` — B-wide lane words per vertex for the batched
+  MS-BFS programs (:meth:`TraversalEngine.run_batch`);
+* driver programs build on these through ``program.drive``: delta-stepping
+  SSSP picks a bucket of a :class:`ValueFrontier` before each step, PageRank
+  supplies contribution sweeps.
+
+A representation supplies its queue filter, backward workload (the paper's
+estimate, or exact parent lists for lane words), visit tasks and folds.
+The loop (level limits, overlay hook, accounting, tracing), the plan
+skeleton (nn visit, backward candidates, nd → dn → dd direction decisions)
+and the finalize skeleton (per-kernel accounting, fold → nn-exchange →
+delegate-reduce, modeled time) are written once.
+
+*Where* the kernels run is owned by neither engine nor program: each
+super-step is a declarative :class:`repro.exec.SuperStepPlan` (per-GPU
+kernel tasks as pure data; the folds, exchange and delegate reduction behind
+the plan's ``finalize``) handed to an :class:`repro.exec.ExecutionBackend` —
+``"inline"`` for the in-process simulator, ``"thread"`` for a shared thread
+pool, ``"process"`` for a worker pool over shared-memory CSR buffers.
+Results, workload counters and modeled times are backend-independent; only
+the measured ``wall_s`` phases change.
+
+For mutable graphs (:mod:`repro.dynamic`) the driver accepts two
+extensions: a pre-seeded ``init`` replacing the program's ``init_state``
+(the resumable-from-frontier entry point incremental repair starts from)
+and an ``overlay`` of not-yet-compacted edge insertions, relaxed from each
 super-step's input frontier on the coordinator so results stay
 backend-invariant.
 
@@ -63,7 +81,6 @@ from repro.cluster.hardware import HardwareSpec
 from repro.cluster.netmodel import NetworkModel
 from repro.cluster.topology import ClusterTopology
 from repro.core.direction import DirectionState, estimate_backward_workload
-from repro.core.kernels import KernelOutput
 from repro.core.options import BFSOptions
 from repro.core.programs.base import FrontierProgram, VisitContext
 from repro.core.programs.batched import (
@@ -75,20 +92,20 @@ from repro.core.programs.bfs_levels import BFSLevels
 from repro.core.results import BatchResult, BFSResult, IterationRecord, TraversalResult
 from repro.core.state import UNVISITED, TraversalState
 from repro.exec.backend import ExecutionBackend, resolve_backend
-from repro.exec.plan import (
-    BatchedGPUPlan,
-    BatchedVisitSpec,
-    GPUPlan,
-    SuperStepPlan,
-    VisitSpec,
-)
+from repro.exec.plan import BatchedVisitSpec, GPUPlan, SuperStepPlan, VisitSpec
 from repro.exec.providers import resolve_provider
 from repro.partition.subgraphs import PartitionedGraph
 from repro.utils.bitmask import BatchBitmask, Bitmask
 from repro.obs.tracer import get_tracer
 from repro.utils.timing import TimingBreakdown, now_s
 
-__all__ = ["TraversalEngine", "DistributedBFS"]
+__all__ = [
+    "TraversalEngine",
+    "DistributedBFS",
+    "StepFrontier",
+    "ValueFrontier",
+    "LaneFrontier",
+]
 
 #: Default lane count per batched sweep when ``run_many`` routes through the
 #: batched path; wider batches amortize better but grow the lane words.
@@ -359,121 +376,19 @@ class TraversalEngine:
             overlay edges leaving that step's input frontier, so traversals
             of a mutable graph see the union graph.
         """
-        opts = self.options
-        graph = self.graph
-        p = graph.num_gpus
-
-        # Driver programs (delta-stepping SSSP, PageRank, ...) own their outer
-        # loop: they orchestrate engine phases themselves and return a
-        # complete result.  Everything else runs the standard level loop.
+        # Driver programs (delta-stepping SSSP, PageRank, ...) schedule their
+        # own steps on the same driver and build their own result.
         if hasattr(program, "drive"):
             return program.drive(self, init=init, overlay=overlay)
 
-        if getattr(program, "needs_weights", False) and not graph.is_weighted:
+        if getattr(program, "needs_weights", False) and not self.graph.is_weighted:
             raise ValueError(
                 f"program {program.name!r} needs edge weights but the graph has "
                 "none; build it with weights (e.g. --weights on the generators)"
             )
-
-        if init is None:
-            init = program.init_state(graph)
-        state = TraversalState(
-            graph=graph,
-            normal_values=init.normal_values,
-            delegate_values=init.delegate_values,
-            delegate_visited=Bitmask.from_indices(
-                graph.num_delegates,
-                np.flatnonzero(init.delegate_values != UNVISITED),
-            )
-            if graph.num_delegates
-            else Bitmask(0),
-            normal_frontiers=init.normal_frontiers,
-            delegate_frontier=init.delegate_frontier,
-        )
-        communicator = Communicator(self.topology, self.netmodel)
-        do_enabled = opts.direction_optimized and program.direction_optimized_ok
-        dir_states = {
-            "nd": [DirectionState(opts.nd_factors, enabled=do_enabled) for _ in range(p)],
-            "dn": [DirectionState(opts.dn_factors, enabled=do_enabled) for _ in range(p)],
-            "dd": [DirectionState(opts.dd_factors, enabled=do_enabled) for _ in range(p)],
-        }
-
-        records: list[IterationRecord] = []
-        timing = TimingBreakdown()
-        total_edges = 0
-        level = 0
-        # Wall-clock accounting of the simulation itself (not modeled time):
-        # per-phase seconds the bench harness reads off the result.
-        wall = {"kernels": 0.0, "exchange": 0.0, "delegate_reduce": 0.0}
-        backend = self.backend
-        overlay_live = overlay is not None and not overlay.empty
-        tracer = get_tracer()
-        run_started = now_s()
-
-        while not state.frontier_empty():
-            if program.max_levels is not None and level >= program.max_levels:
-                break
-            level += 1
-            if level > opts.max_iterations:
-                raise RuntimeError(
-                    f"{program.name} exceeded max_iterations={opts.max_iterations}; "
-                    "the graph or the engine state is inconsistent"
-                )
-            if overlay_live:
-                pre_frontier = self._capture_frontier(state)
-            plan_started = now_s()
-            plan = self._plan_super_step(program, state, communicator, dir_states, level, wall)
-            plan_done = now_s()
-            wall["kernels"] += plan_done - plan_started
-            if tracer.enabled:
-                tracer.record_span(
-                    "plan+direction", cat="engine", start=plan_started,
-                    dur=plan_done - plan_started,
-                    args={"level": level, "pulls": _plan_pulls(plan)},
-                )
-            record = backend.run_super_step(plan)
-            if overlay_live:
-                relax_started = now_s()
-                self._overlay_relax(program, state, overlay, pre_frontier, level, record)
-                relax_done = now_s()
-                wall["kernels"] += relax_done - relax_started
-                if tracer.enabled:
-                    tracer.record_span(
-                        "overlay-relax", cat="engine", start=relax_started,
-                        dur=relax_done - relax_started, args={"level": level},
-                    )
-            if tracer.enabled:
-                tracer.record_span(
-                    "super-step", cat="engine", start=plan_started,
-                    dur=now_s() - plan_started,
-                    args={"level": level, "program": program.name},
-                )
-            records.append(record)
-            total_edges += record.total_edges_examined()
-            timing.computation += record.computation_s * 1e3
-            timing.local_communication += record.local_communication_s * 1e3
-            timing.remote_normal_exchange += record.remote_normal_exchange_s * 1e3
-            timing.remote_delegate_reduce += record.remote_delegate_reduce_s * 1e3
-            timing.elapsed_ms += record.elapsed_s * 1e3
-            timing.per_iteration.append(record)
-
-        timing.iterations = len(records)
-        wall["traversal"] = now_s() - run_started
-        if tracer.enabled:
-            tracer.record_span(
-                "traversal", cat="engine", start=run_started, dur=wall["traversal"],
-                args={"program": program.name, "iterations": len(records)},
-            )
-        base = {
-            "iterations": len(records),
-            "records": records,
-            "timing": timing,
-            "comm_stats": communicator.stats,
-            "total_edges_examined": total_edges,
-            "num_directed_edges": graph.num_directed_edges,
-            "wall_s": wall,
-        }
-        return program.make_result(state.gather_values(), base)
+        frontier = ValueFrontier(self, program, init)
+        base = self.run_steps(frontier, overlay)
+        return program.make_result(frontier.state.gather_values(), base)
 
     def run_many(
         self, programs, batch_size: int | None = None, overlay=None
@@ -539,9 +454,6 @@ class TraversalEngine:
             [unique_results[i] for i in fan], saved_traversals=saved
         )
 
-    # ------------------------------------------------------------------ #
-    # Batched (MS-BFS style) execution
-    # ------------------------------------------------------------------ #
     def run_batch(self, program: BatchedFrontierProgram, overlay=None) -> BatchResult:
         """Run one batched program (B sources, one fused sweep) to completion.
 
@@ -554,40 +466,46 @@ class TraversalEngine:
         super-step with OR-propagated lane words, mirroring the sequential
         path, so the per-lane equivalence holds on dynamic graphs too.
         """
+        program.begin(self.graph)
+        return program.make_result(self.run_steps(LaneFrontier(self, program), overlay))
+
+    # ------------------------------------------------------------------ #
+    # The super-step driver
+    # ------------------------------------------------------------------ #
+    def run_steps(self, frontier: "StepFrontier", overlay=None) -> dict:
+        """Advance ``frontier`` super-step by super-step until it is done.
+
+        Every engine-driven program runs through this loop.  Each step is
+        ``frontier.advance()`` (select the step's input frontier; ``False``
+        ends the run), the plan with its direction decisions, the backend's
+        kernel stage, the finalize folds and communication and — with a
+        non-empty ``overlay`` — the relaxation of the overlay edges leaving
+        the step's input frontier.  The loop also stops once the program's
+        ``max_levels`` steps have run, and raises past
+        ``options.max_iterations``.
+
+        Returns the result ``base`` dict every result type is built from:
+        ``iterations``, ``records``, ``timing``, ``comm_stats``,
+        ``total_edges_examined``, ``num_directed_edges`` and ``wall_s``.
+        """
         opts = self.options
-        graph = self.graph
-        p = graph.num_gpus
-        width = program.width
-        nwords = (width + 63) // 64
-
-        program.begin(graph)
-        state = _BatchState.initialize(graph, program.sources, width)
+        program = frontier.program
         communicator = Communicator(self.topology, self.netmodel)
-        do_enabled = opts.direction_optimized
-        dir_states = {
-            "nd": [DirectionState(opts.nd_factors, enabled=do_enabled) for _ in range(p)],
-            "dn": [DirectionState(opts.dn_factors, enabled=do_enabled) for _ in range(p)],
-            "dd": [DirectionState(opts.dd_factors, enabled=do_enabled) for _ in range(p)],
-        }
-        # Lane-word mask of the valid lanes in the last word (the padding
-        # lanes beyond B must never go hot).
-        tail = width & 63
-        full_words = np.full(nwords, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-        if tail:
-            full_words[-1] = np.uint64((1 << tail) - 1)
-
         records: list[IterationRecord] = []
         timing = TimingBreakdown()
         total_edges = 0
         level = 0
+        # Wall-clock accounting of the simulation itself (not modeled time):
+        # per-phase seconds the bench harness reads off the result.
         wall = {"kernels": 0.0, "exchange": 0.0, "delegate_reduce": 0.0}
         backend = self.backend
         overlay_live = overlay is not None and not overlay.empty
         tracer = get_tracer()
         run_started = now_s()
 
-        while not state.frontier_empty():
-            if program.max_levels is not None and level >= program.max_levels:
+        while program.max_levels is None or level < program.max_levels:
+            plan_started = now_s()
+            if not frontier.advance():
                 break
             level += 1
             if level > opts.max_iterations:
@@ -595,12 +513,9 @@ class TraversalEngine:
                     f"{program.name} exceeded max_iterations={opts.max_iterations}; "
                     "the graph or the engine state is inconsistent"
                 )
-            if overlay_live:
-                pre_frontier = self._capture_batched_frontier(state)
-            plan_started = now_s()
-            plan = self._plan_batched_super_step(
-                program, state, communicator, dir_states, level, full_words, wall
-            )
+            # The finalize replaces the frontier arrays; keep the input ones.
+            pre_frontier = frontier.capture() if overlay_live else None
+            plan = self._plan(frontier, communicator, level, wall)
             plan_done = now_s()
             wall["kernels"] += plan_done - plan_started
             if tracer.enabled:
@@ -612,9 +527,7 @@ class TraversalEngine:
             record = backend.run_super_step(plan)
             if overlay_live:
                 relax_started = now_s()
-                self._overlay_relax_batched(
-                    program, state, overlay, pre_frontier, level, full_words, record
-                )
+                frontier.relax(overlay, pre_frontier, level, record)
                 relax_done = now_s()
                 wall["kernels"] += relax_done - relax_started
                 if tracer.enabled:
@@ -626,7 +539,7 @@ class TraversalEngine:
                 tracer.record_span(
                     "super-step", cat="engine", start=plan_started,
                     dur=now_s() - plan_started,
-                    args={"level": level, "program": program.name, "width": width},
+                    args={"level": level, "program": program.name, **frontier.span_args},
                 )
             records.append(record)
             total_edges += record.total_edges_examined()
@@ -645,579 +558,76 @@ class TraversalEngine:
                 args={
                     "program": program.name,
                     "iterations": len(records),
-                    "width": width,
+                    **frontier.span_args,
                 },
             )
-        base = {
+        return {
             "iterations": len(records),
             "records": records,
             "timing": timing,
             "comm_stats": communicator.stats,
             "total_edges_examined": total_edges,
-            "num_directed_edges": graph.num_directed_edges,
+            "num_directed_edges": self.graph.num_directed_edges,
             "wall_s": wall,
         }
-        return program.make_result(base)
 
-    # ------------------------------------------------------------------ #
-    # Overlay relaxation (mutable graphs)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _capture_frontier(state: TraversalState) -> list:
-        """Snapshot the step's input frontier (finalize replaces the arrays)."""
-        segments = []
-        for g, slots in enumerate(state.normal_frontiers):
-            if slots.size:
-                segments.append(("n", g, slots))
-        if state.delegate_frontier.size:
-            segments.append(("d", -1, state.delegate_frontier))
-        return segments
-
-    def _overlay_relax(
+    def _plan(
         self,
-        program: FrontierProgram,
-        state: TraversalState,
-        overlay,
-        segments: list,
-        level: int,
-        record: IterationRecord,
-    ) -> None:
-        """Relax the overlay edges leaving this step's input frontier.
-
-        Runs on the coordinator after the planned kernels finish (so it is
-        backend-invariant), proposes values through the program's
-        ``visit_value``/``accept`` hooks exactly like a kernel discovery
-        would, merges fresh vertices into the next frontier, and charges the
-        examined overlay edges to the step's counters and modeled
-        computation (unoverlapped — the overlay is a serial side-structure).
-        """
-        graph = self.graph
-        src_ids: list[np.ndarray] = []
-        src_vals: list[np.ndarray] = []
-        for kind, g, arr in segments:
-            if kind == "n":
-                src_ids.append(graph.gpus[g].global_ids_of_locals(arr))
-                src_vals.append(state.normal_values[g][arr])
-            else:
-                src_ids.append(graph.delegate_vertices[arr])
-                src_vals.append(state.delegate_values[arr])
-        if not src_ids:
-            return
-        rep_weights = None
-        if getattr(program, "needs_weights", False):
-            dst, rep_ids, rep_vals, rep_weights, edges = overlay.propagate_weighted(
-                np.concatenate(src_ids), np.concatenate(src_vals)
-            )
-        else:
-            dst, rep_ids, rep_vals, edges = overlay.propagate(
-                np.concatenate(src_ids), np.concatenate(src_vals)
-            )
-        if edges == 0:
-            return
-        record.edges_examined["overlay"] = record.edges_examined.get("overlay", 0) + edges
-        extra = self.netmodel.traversal_time(edges, backward=False)
-        record.computation_s += extra
-        record.elapsed_s += extra
-        values = program.visit_value(
-            VisitContext(
-                kernel="overlay",
-                gpu=-1,
-                level=level,
-                backward=False,
-                discovered=dst,
-                source_ids=rep_ids,
-                source_values=rep_vals,
-                edge_weights=rep_weights,
-            )
-        )
-        ids, vals = program.merge_remote(dst, values)
-        delegate_ids = graph.delegate_id_of_vertex(ids)
-        is_delegate = delegate_ids >= 0
-        fresh_delegates = state.update_delegates(
-            delegate_ids[is_delegate], vals[is_delegate], program.accept
-        )
-        if fresh_delegates.size:
-            state.delegate_frontier = np.union1d(state.delegate_frontier, fresh_delegates)
-            record.discovered += int(fresh_delegates.size)
-        n_ids, n_vals = ids[~is_delegate], vals[~is_delegate]
-        if n_ids.size:
-            owners = graph.layout.flat_gpu_of(n_ids)
-            slots = graph.layout.local_index_of(n_ids)
-            for g in np.unique(owners):
-                mask = owners == g
-                fresh = state.update_normals(int(g), slots[mask], n_vals[mask], program.accept)
-                if fresh.size:
-                    state.normal_frontiers[g] = np.union1d(state.normal_frontiers[g], fresh)
-                    record.discovered += int(fresh.size)
-
-    @staticmethod
-    def _capture_batched_frontier(state: "_BatchState") -> list:
-        """Snapshot the batched step's input frontier rows + lane words."""
-        segments = []
-        for g, rows in enumerate(state.frontier_n_rows):
-            if rows.size:
-                segments.append(("n", g, rows, state.frontier_n_words[g]))
-        if state.frontier_d_rows.size:
-            segments.append(("d", -1, state.frontier_d_rows, state.frontier_d_words))
-        return segments
-
-    def _overlay_relax_batched(
-        self,
-        program: BatchedFrontierProgram,
-        state: "_BatchState",
-        overlay,
-        segments: list,
-        level: int,
-        full_words: np.ndarray,
-        record: IterationRecord,
-    ) -> None:
-        """Batched analogue of :meth:`_overlay_relax`: OR-propagate the
-        frontier's lane words across the overlay edges and record first
-        visits per lane, keeping every lane bit-identical to its sequential
-        run on the same mutable graph."""
-        graph = self.graph
-        nwords = full_words.size
-        src_ids: list[np.ndarray] = []
-        src_words: list[np.ndarray] = []
-        for kind, g, rows, words in segments:
-            if kind == "n":
-                src_ids.append(graph.gpus[g].global_ids_of_locals(rows))
-            else:
-                src_ids.append(graph.delegate_vertices[rows])
-            src_words.append(words)
-        if not src_ids:
-            return
-        dst, words, edges = overlay.propagate_batch(
-            np.concatenate(src_ids), np.concatenate(src_words), nwords
-        )
-        if edges == 0:
-            return
-        record.edges_examined["overlay"] = record.edges_examined.get("overlay", 0) + edges
-        extra = self.netmodel.traversal_time(edges, backward=False)
-        record.computation_s += extra
-        record.elapsed_s += extra
-
-        def merge_frontier(rows, words, new_rows, new_words):
-            all_rows = np.concatenate([rows, new_rows])
-            all_words = np.concatenate([words, new_words])
-            unique, inverse = np.unique(all_rows, return_inverse=True)
-            merged = np.zeros((unique.size, nwords), dtype=np.uint64)
-            np.bitwise_or.at(merged, inverse, all_words)
-            return unique, merged
-
-        delegate_ids = graph.delegate_id_of_vertex(dst)
-        is_delegate = delegate_ids >= 0
-        d_rows, d_words = delegate_ids[is_delegate], words[is_delegate]
-        if d_rows.size:
-            new = d_words & np.bitwise_not(state.visited_d.words[d_rows]) & full_words[None, :]
-            keep = new.any(axis=1)
-            d_rows, new = d_rows[keep], new[keep]
-            if d_rows.size:
-                state.visited_d.or_rows(d_rows, new)
-                program.record(graph.delegate_vertices[d_rows], new, level)
-                state.frontier_d_rows, state.frontier_d_words = merge_frontier(
-                    state.frontier_d_rows, state.frontier_d_words, d_rows, new
-                )
-                record.discovered += int(d_rows.size)
-        n_dst, n_words = dst[~is_delegate], words[~is_delegate]
-        if n_dst.size:
-            owners = graph.layout.flat_gpu_of(n_dst)
-            slots = graph.layout.local_index_of(n_dst)
-            for g in np.unique(owners):
-                mask = owners == g
-                rows, proposed = slots[mask], n_words[mask]
-                new = proposed & np.bitwise_not(state.visited_n[g].words[rows]) & full_words[None, :]
-                keep = new.any(axis=1)
-                rows, new = rows[keep], new[keep]
-                if rows.size:
-                    state.visited_n[g].or_rows(rows, new)
-                    program.record(graph.gpus[g].global_ids_of_locals(rows), new, level)
-                    state.frontier_n_rows[g], state.frontier_n_words[g] = merge_frontier(
-                        state.frontier_n_rows[g], state.frontier_n_words[g], rows, new
-                    )
-                    record.discovered += int(rows.size)
-
-    # ------------------------------------------------------------------ #
-    # One super-step
-    # ------------------------------------------------------------------ #
-    def _plan_super_step(
-        self,
-        program: FrontierProgram,
-        state: TraversalState,
+        frontier: "StepFrontier",
         communicator: Communicator,
-        dir_states: dict[str, list[DirectionState]],
         level: int,
         wall: dict,
     ) -> SuperStepPlan:
         """Describe one super-step as a backend-executable plan.
 
-        The planning pass reproduces the seed engine's pre-kernel work in
-        the same order — previsit filtering, backward-candidate construction
-        and the (stateful) per-subgraph direction decisions — and emits one
-        :class:`repro.exec.GPUPlan` of pure-data kernel tasks per GPU.  The
-        plan's ``finalize`` closure is the historical post-kernel half
-        (program folds, nn exchange, delegate reduction, modeled timing),
-        always run on the coordinating process, so results, counters and
-        modeled times are identical under every backend.
+        The frontier emits one :class:`repro.exec.GPUPlan` of pure-data
+        kernel tasks per GPU.  The plan's ``finalize`` closure is the serial
+        half of the step, always run on the coordinating process, so
+        results, counters and modeled times are identical under every
+        backend.
         """
-        graph = self.graph
-        p = graph.num_gpus
-        d = graph.num_delegates
-        provider = self.provider
-        filter_frontier = provider.filter_frontier
-        # The backward-pull candidate sets only exist for visit-once programs;
-        # the options-level DO toggle is handled by the DirectionState objects
-        # (disabled states always decide forward), matching the seed engine.
-        pull_ok = program.direction_optimized_ok
-        needs_sources = program.payload_exchange or program.delegate_channel == "values"
-        mask_channel = program.delegate_channel == "mask"
-        # Weighted programs gather edge weights on every forward visit (they
-        # never pull: needs_weights implies direction_optimized_ok=False).
-        weighted = getattr(program, "needs_weights", False)
-
-        frontier_d = state.delegate_frontier
-        delegate_frontier_flags = np.zeros(d, dtype=bool)
-        if frontier_d.size:
-            delegate_frontier_flags[frontier_d] = True
-        if pull_ok:
-            unvisited_delegates = state.unvisited_delegates() if d else np.zeros(0, dtype=np.int64)
-        else:
-            unvisited_delegates = np.zeros(0, dtype=np.int64)
-
-        normal_frontier_total = int(sum(f.size for f in state.normal_frontiers))
-        directions = {"nd": 0, "dn": 0, "dd": 0}
-        base_comp = np.zeros(p, dtype=np.float64)
-        gpu_plans: list[GPUPlan] = []
-
-        for g in range(p):
-            part = graph.gpus[g]
-            deg = self._degrees[g]
-            frontier_n = state.normal_frontiers[g]
-            comp = self.netmodel.iteration_overhead()
-            comp += self.netmodel.filter_time(2 * frontier_n.size + 2 * frontier_d.size)
-            base_comp[g] = comp
-
-            # ---- nn visit: always forward -------------------------------- #
-            visits = [
-                VisitSpec(
-                    "nn",
-                    "nn",
-                    backward=False,
-                    queue=filter_frontier(frontier_n, deg["nn"]),
-                    keep_sources=program.payload_exchange,
-                    weighted=weighted,
-                )
-            ]
-            normal_flags = None
-
-            # ---- shared backward candidate sets --------------------------- #
-            if d and pull_ok:
-                cand_nd = unvisited_delegates[part.dn_source_mask[unvisited_delegates]]
-                cand_dd = unvisited_delegates[part.dd_source_mask[unvisited_delegates]]
-            else:
-                cand_nd = np.zeros(0, dtype=np.int64)
-                cand_dd = np.zeros(0, dtype=np.int64)
-            if pull_ok and part.nd_source_list.size:
-                nd_src_values = state.normal_values[g][part.nd_source_list]
-                cand_dn = part.nd_source_list[nd_src_values == UNVISITED]
-            else:
-                cand_dn = np.zeros(0, dtype=np.int64)
-
-            # ---- nd visit (destinations are delegates) -------------------- #
-            if d:
-                queue_nd = filter_frontier(frontier_n, deg["nd"])
-                fv_nd = int(deg["nd"][queue_nd].sum()) if queue_nd.size else 0
-                bv_nd = estimate_backward_workload(cand_nd.size, q=int(frontier_n.size), s=int(cand_dn.size))
-                if dir_states["nd"][g].decide(fv_nd, bv_nd):
-                    directions["nd"] += 1
-                    # A backward nd pull scans the reverse edges (the dn CSR)
-                    # against this GPU's dense normal-frontier flags.
-                    normal_flags = np.zeros(part.num_local, dtype=bool)
-                    if frontier_n.size:
-                        normal_flags[frontier_n] = True
-                    visits.append(
-                        VisitSpec(
-                            "nd",
-                            "dn",
-                            backward=True,
-                            candidates=cand_nd,
-                            flags="normal",
-                            keep_sources=not mask_channel,
-                        )
-                    )
-                else:
-                    visits.append(
-                        VisitSpec(
-                            "nd",
-                            "nd",
-                            backward=False,
-                            queue=queue_nd,
-                            keep_sources=not mask_channel,
-                            weighted=weighted,
-                        )
-                    )
-
-            # ---- dn visit (destinations are local normal vertices) -------- #
-            if d and part.num_local:
-                queue_dn = filter_frontier(frontier_d, deg["dn"])
-                fv_dn = int(deg["dn"][queue_dn].sum()) if queue_dn.size else 0
-                bv_dn = estimate_backward_workload(cand_dn.size, q=int(frontier_d.size), s=int(cand_nd.size))
-                if dir_states["dn"][g].decide(fv_dn, bv_dn):
-                    directions["dn"] += 1
-                    visits.append(
-                        VisitSpec(
-                            "dn",
-                            "nd",
-                            backward=True,
-                            candidates=cand_dn,
-                            flags="delegate",
-                            keep_sources=needs_sources,
-                        )
-                    )
-                else:
-                    visits.append(
-                        VisitSpec(
-                            "dn",
-                            "dn",
-                            backward=False,
-                            queue=queue_dn,
-                            keep_sources=needs_sources,
-                            weighted=weighted,
-                        )
-                    )
-
-            # ---- dd visit (delegates to delegates) ------------------------ #
-            if d:
-                queue_dd = filter_frontier(frontier_d, deg["dd"])
-                fv_dd = int(deg["dd"][queue_dd].sum()) if queue_dd.size else 0
-                bv_dd = estimate_backward_workload(cand_dd.size, q=int(frontier_d.size), s=int(cand_dd.size))
-                if dir_states["dd"][g].decide(fv_dd, bv_dd):
-                    directions["dd"] += 1
-                    visits.append(
-                        VisitSpec(
-                            "dd",
-                            "dd",
-                            backward=True,
-                            candidates=cand_dd,
-                            flags="delegate",
-                            keep_sources=not mask_channel,
-                        )
-                    )
-                else:
-                    visits.append(
-                        VisitSpec(
-                            "dd",
-                            "dd",
-                            backward=False,
-                            queue=queue_dd,
-                            keep_sources=not mask_channel,
-                            weighted=weighted,
-                        )
-                    )
-
-            gpu_plans.append(GPUPlan(gpu=g, visits=visits, normal_flags=normal_flags))
+        frontier.begin_step()
+        gpu_plans = [frontier.plan_gpu(g) for g in range(self.graph.num_gpus)]
 
         def finalize(outputs: list) -> IterationRecord:
-            return self._finalize_super_step(
-                outputs,
-                program=program,
-                state=state,
-                communicator=communicator,
-                level=level,
-                wall=wall,
-                base_comp=base_comp,
-                directions=directions,
-                normal_frontier_total=normal_frontier_total,
-                delegate_frontier_size=int(frontier_d.size),
-                mask_channel=mask_channel,
-                needs_sources=needs_sources,
-            )
+            return self._finalize(frontier, communicator, level, wall, outputs)
 
         return SuperStepPlan(
             level=level,
-            batched=False,
+            batched=frontier.batched,
             gpu_plans=gpu_plans,
             finalize=finalize,
             wall=wall,
-            delegate_flags=delegate_frontier_flags,
-            provider=provider,
+            dense_delegate=frontier.dense_delegate,
+            provider=self.provider,
         )
 
-    def _finalize_super_step(
+    def _finalize(
         self,
-        outputs: list,
-        program: FrontierProgram,
-        state: TraversalState,
+        frontier: "StepFrontier",
         communicator: Communicator,
         level: int,
         wall: dict,
-        base_comp: np.ndarray,
-        directions: dict,
-        normal_frontier_total: int,
-        delegate_frontier_size: int,
-        mask_channel: bool,
-        needs_sources: bool,
+        outputs: list,
     ) -> IterationRecord:
-        """Fold kernel outputs, exchange, reduce: the serial half of a step."""
+        """Account and fold kernel outputs, exchange, reduce: the serial half."""
         opts = self.options
-        graph = self.graph
-        provider = self.provider
-        p = graph.num_gpus
-        d = graph.num_delegates
-
-        nn_outboxes: list[np.ndarray] = []
-        nn_payloads: list[np.ndarray] = []
-        out_masks: list[Bitmask] = []
-        delegate_proposals: list[np.ndarray] = []
-        delegate_proposals_any = False
-        fresh_from_dn: list[np.ndarray] = []
-        per_gpu_comp = np.zeros(p, dtype=np.float64)
-        edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
+        netmodel = self.netmodel
         tracer = get_tracer()
         fold_started = now_s()
-
-        def source_info(g: int, kernel: str, out: KernelOutput):
-            """Global ids and program values of a kernel's discovering sources."""
-            src = out.sources
-            if kernel in ("nn", "nd"):
-                # nn/nd edges originate at local normal vertices; forward rows
-                # and backward-pull hit parents are both local slots.
-                ids = graph.gpus[g].global_ids_of_locals(src)
-                vals = state.normal_values[g][src]
-            else:
-                # dn/dd edges originate at delegates in both directions.
-                ids = graph.delegate_vertices[src]
-                vals = state.delegate_values[src]
-            return np.asarray(ids, dtype=np.int64), np.asarray(vals, dtype=np.int64)
-
-        def delegate_update(g: int, kernel: str, out: KernelOutput, out_mask: Bitmask):
-            """Fold a kernel's delegate discoveries into the g-th GPU's update.
-
-            Mask channel: the seed behaviour — deduplicate, drop delegates
-            whose replicated status is already visited (a free local filter),
-            set bits.  Values channel: propose program values, keep only
-            proposals the (replicated) current values would accept, and
-            combine them into the dense per-GPU proposal array.
-            """
-            nonlocal delegate_proposals_any
-            if out.discovered.size == 0:
-                return
-            if mask_channel:
-                found = np.unique(out.discovered)
-                # Drop delegates that are already visited (their status is
-                # replicated, so this local filter needs no communication
-                # and avoids pointless mask reductions).
-                found = found[~provider.bitmask_test_many(state.delegate_visited, found)]
-                if found.size:
-                    provider.bitmask_set_many(out_mask, found)
-                return
-            ids = np.asarray(out.discovered, dtype=np.int64)
-            src_ids, src_vals = source_info(g, kernel, out)
-            vals = program.visit_value(
-                VisitContext(
-                    kernel=kernel,
-                    gpu=g,
-                    level=level,
-                    backward=out.backward,
-                    discovered=ids,
-                    source_ids=src_ids,
-                    source_values=src_vals,
-                    edge_weights=out.weights,
-                )
-            )
-            keep = program.accept(state.delegate_values[ids], vals)
-            ids, vals = ids[keep], vals[keep]
-            if ids.size:
-                program.combine.at(delegate_proposals[g], ids, vals)
-                delegate_proposals_any = True
-
-        for g in range(p):
-            part = graph.gpus[g]
-            outs = outputs[g]
-            comp = base_comp[g]
-
-            out_mask = Bitmask(d)
-            if not mask_channel:
-                delegate_proposals.append(
-                    np.full(d, program.combine_identity, dtype=np.int64)
-                )
-
-            # ---- nn visit: always forward -------------------------------- #
-            out_nn = outs["nn"]
-            comp += self.netmodel.traversal_time(out_nn.edges_examined, backward=False)
-            edges_examined["nn"] += out_nn.edges_examined
-            nn_outboxes.append(out_nn.discovered)
-            if program.payload_exchange:
-                src_ids, src_vals = source_info(g, "nn", out_nn)
-                nn_payloads.append(
-                    program.visit_value(
-                        VisitContext(
-                            kernel="nn",
-                            gpu=g,
-                            level=level,
-                            backward=False,
-                            discovered=out_nn.discovered,
-                            source_ids=src_ids,
-                            source_values=src_vals,
-                            edge_weights=out_nn.weights,
-                        )
+        comp = frontier.comp
+        edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
+        frontier.edges_examined = edges_examined
+        for g, outs in enumerate(outputs):
+            for kernel in frontier.fold_order:
+                out = outs.get(kernel)
+                if out is not None:
+                    comp[g] += netmodel.traversal_time(
+                        out.edges_examined, backward=out.backward
                     )
-                )
+                    edges_examined[kernel] += out.edges_examined
+            frontier.fold(g, outs, level)
 
-            # ---- nd visit (destinations are delegates) -------------------- #
-            if d:
-                out_nd = outs["nd"]
-                comp += self.netmodel.traversal_time(
-                    out_nd.edges_examined, backward=out_nd.backward
-                )
-                edges_examined["nd"] += out_nd.edges_examined
-                delegate_update(g, "nd", out_nd, out_mask)
-
-            # ---- dn visit (destinations are local normal vertices) -------- #
-            newly_local = np.zeros(0, dtype=np.int64)
-            newly_local_values = np.zeros(0, dtype=np.int64)
-            if d and part.num_local:
-                out_dn = outs["dn"]
-                comp += self.netmodel.traversal_time(
-                    out_dn.edges_examined, backward=out_dn.backward
-                )
-                edges_examined["dn"] += out_dn.edges_examined
-                newly_local = out_dn.discovered
-                if newly_local.size:
-                    src_ids = src_vals = None
-                    if needs_sources:
-                        src_ids, src_vals = source_info(g, "dn", out_dn)
-                    newly_local_values = program.visit_value(
-                        VisitContext(
-                            kernel="dn",
-                            gpu=g,
-                            level=level,
-                            backward=out_dn.backward,
-                            discovered=newly_local,
-                            source_ids=src_ids,
-                            source_values=src_vals,
-                            edge_weights=out_dn.weights,
-                        )
-                    )
-
-            # ---- dd visit (delegates to delegates) ------------------------ #
-            if d:
-                out_dd = outs["dd"]
-                comp += self.netmodel.traversal_time(
-                    out_dd.edges_examined, backward=out_dd.backward
-                )
-                edges_examined["dd"] += out_dd.edges_examined
-                delegate_update(g, "dd", out_dd, out_mask)
-
-            slots, values = program.merge_remote(newly_local, newly_local_values)
-            fresh = state.update_normals(g, slots, values, program.accept)
-            fresh_from_dn.append(fresh)
-            out_masks.append(out_mask)
-            per_gpu_comp[g] = comp
-
-        # ------------------------------------------------------------------ #
-        # Communication stage
-        # ------------------------------------------------------------------ #
         exchange_started = now_s()
         wall["kernels"] += exchange_started - fold_started
         if tracer.enabled:
@@ -1225,588 +635,815 @@ class TraversalEngine:
                 "fold", cat="engine", start=fold_started,
                 dur=exchange_started - fold_started, args={"level": level},
             )
+        exchange, discovered = frontier.exchange(communicator, level)
+
+        reduce_started = now_s()
+        wall["exchange"] += reduce_started - exchange_started
+        if tracer.enabled:
+            tracer.record_span(
+                "nn-exchange", cat="engine", start=exchange_started,
+                dur=reduce_started - exchange_started, args={"level": level},
+            )
+        reduced, reduce_local_s, reduce_global_s, found = frontier.reduce(
+            communicator, level
+        )
+        reduce_done = now_s()
+        wall["delegate_reduce"] += reduce_done - reduce_started
+        if tracer.enabled:
+            tracer.record_span(
+                "delegate-reduce", cat="engine", start=reduce_started,
+                dur=reduce_done - reduce_started, args={"level": level},
+            )
+
+        # Modeled timing for this super-step.
+        computation_s = float(comp.max()) if comp.size else 0.0
+        local_comm_s = exchange.local_time_s + reduce_local_s
+        remote_normal_s = exchange.remote_time_s
+        remote_delegate_s = reduce_global_s
+        comm_total = local_comm_s + remote_normal_s + remote_delegate_s
+        overlap = opts.overlap_efficiency * min(computation_s, comm_total)
+        elapsed_s = computation_s + comm_total - overlap
+
+        return IterationRecord(
+            iteration=level,
+            normal_frontier_size=frontier.sizes[0],
+            delegate_frontier_size=frontier.sizes[1],
+            edges_examined=edges_examined,
+            directions=frontier.directions,
+            discovered=discovered + found,
+            delegate_reduce=reduced,
+            computation_s=computation_s,
+            local_communication_s=local_comm_s,
+            remote_normal_exchange_s=remote_normal_s,
+            remote_delegate_reduce_s=remote_delegate_s,
+            elapsed_s=elapsed_s,
+        )
+
+
+#: The CSR a backward pull of each DO-capable kernel scans (its reverse
+#: edges); also the kernel whose candidates size the paper's BV estimate.
+_REVERSE = {"nd": "dn", "dn": "nd", "dd": "dd"}
+
+
+def _empty() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
+def _or_merge(rows: list, words: list, nwords: int) -> tuple:
+    """Deduplicate lane-word rows, OR-combining the words of repeated rows."""
+    unique, inverse = np.unique(np.concatenate(rows), return_inverse=True)
+    merged = np.zeros((unique.size, nwords), dtype=np.uint64)
+    np.bitwise_or.at(merged, inverse, np.concatenate(words))
+    return unique, merged
+
+
+class StepFrontier:
+    """A frontier representation the super-step driver advances.
+
+    :meth:`TraversalEngine.run_steps` owns the loop, the accounting and the
+    tracing; a frontier owns the per-vertex state and answers the driver's
+    hooks, in this order per step:
+
+    ``advance()``
+        Select the step's input frontier; ``False`` ends the run.  Programs
+        that schedule their own steps (delta-stepping buckets, PageRank
+        sweeps) override it.
+    ``capture()``
+        With a live overlay: snapshot the input frontier.
+    ``begin_step()`` then ``plan_gpu(g)`` per GPU
+        Per-step shared buffers, then one GPU's visit tasks.  The default
+        :meth:`plan_gpu` is the traversal plan skeleton; it asks the
+        representation for queues, candidates, workloads and task specs.
+    ``fold(g, outputs, level)``, ``exchange(...)``, ``reduce(...)``
+        The finalize stages, after the driver has accounted every kernel's
+        edges and modeled computation into :attr:`comp` (summed in
+        :attr:`fold_order`) and :attr:`edges_examined`.
+    ``relax(overlay, captured, level, record)``
+        With a live overlay: relax the overlay edges leaving the captured
+        frontier.
+
+    A step's plan also reads :attr:`dense_delegate` (the replicated
+    delegate frontier backward pulls test) and its record reads
+    :attr:`sizes` (input normal and delegate frontier sizes) and
+    :attr:`directions` (backward kernels per DO-capable subgraph).
+    """
+
+    #: Whether plans carry lane-word (batched) tasks.
+    batched = False
+    #: Kernel order of the per-GPU modeled-computation sums.
+    fold_order = ("nn", "nd", "dn", "dd")
+
+    def __init__(self, engine: TraversalEngine, program, direction_ok: bool) -> None:
+        self.engine = engine
+        self.program = program
+        self.graph = engine.graph
+        self.netmodel = engine.netmodel
+        self.provider = engine.provider
+        self.degrees = engine._degrees
+        opts = engine.options
+        # Backward pulls need the options' DO switch and a representation
+        # for which they are meaningful; disabled states always push.
+        self.pull_ok = opts.direction_optimized and direction_ok
+        self.dirs = {
+            kind: [
+                DirectionState(getattr(opts, f"{kind}_factors"), enabled=self.pull_ok)
+                for _ in range(self.graph.num_gpus)
+            ]
+            for kind in _REVERSE
+        }
+        #: Extra arguments of this run's ``super-step``/``traversal`` spans.
+        self.span_args: dict = {}
+
+    # ---- driver hooks -------------------------------------------------- #
+    def advance(self) -> bool:
+        raise NotImplementedError
+
+    def capture(self) -> list:
+        raise NotImplementedError
+
+    def relax(self, overlay, segments: list, level: int, record: IterationRecord) -> None:
+        raise NotImplementedError
+
+    def begin_step(self) -> None:
+        self.comp = np.zeros(self.graph.num_gpus, dtype=np.float64)
+        self.directions = {"nd": 0, "dn": 0, "dd": 0}
+
+    # ---- the traversal plan skeleton ----------------------------------- #
+    def plan_gpu(self, g: int) -> GPUPlan:
+        """One GPU's visit tasks for a traversal step.
+
+        nn always pushes.  nd, dn and dd each compare their forward workload
+        with the representation's backward workload and keep or switch
+        direction (paper §IV-B), in the fixed nd → dn → dd order the
+        stateful :class:`DirectionState` objects rely on.
+        """
+        graph = self.graph
+        part = graph.gpus[g]
+        deg = self.degrees[g]
+        d = graph.num_delegates
+        self.comp[g] = self.netmodel.iteration_overhead() + self.netmodel.filter_time(
+            2 * self.normal_size(g) + 2 * self.delegate_size
+        )
+        visits = [self.forward_spec("nn", self.queue(g, "nn")[1])]
+
+        # Shared backward candidate sets: the delegates and the nd source
+        # slots that can still be reached (only pulls ever read them).
+        if self.pull_ok and d:
+            open_d = self.open_delegates
+            cand = {
+                "nd": open_d[part.dn_source_mask[open_d]],
+                "dd": open_d[part.dd_source_mask[open_d]],
+            }
+        else:
+            cand = {"nd": _empty(), "dd": _empty()}
+        nd_src = part.nd_source_list
+        cand["dn"] = (
+            nd_src[self.open_normals(g, nd_src)]
+            if self.pull_ok and nd_src.size
+            else _empty()
+        )
+
+        dense_normal = None
+        for kernel in _REVERSE:
+            if not d or (kernel == "dn" and not part.num_local):
+                continue
+            rows, queue = self.queue(g, kernel)
+            forward = int(deg[kernel][rows].sum()) if rows.size else 0
+            backward = self.backward_workload(g, kernel, cand, deg)
+            if self.dirs[kernel][g].decide(forward, backward):
+                self.directions[kernel] += 1
+                if kernel == "nd":
+                    # A backward nd pull scans the reverse edges (the dn
+                    # CSR) against this GPU's dense normal frontier.
+                    dense_normal = self.normal_dense(g)
+                visits.append(self.backward_spec(g, kernel, cand[kernel]))
+            else:
+                visits.append(self.forward_spec(kernel, queue))
+        return GPUPlan(gpu=g, visits=visits, dense_normal=dense_normal)
+
+    # ---- shared helpers ------------------------------------------------ #
+    def _global_ids(self, g: int, rows: np.ndarray) -> np.ndarray:
+        """Global ids of local slots on GPU ``g`` (``g < 0``: delegate ids)."""
+        if g < 0:
+            return self.graph.delegate_vertices[rows]
+        return self.graph.gpus[g].global_ids_of_locals(rows)
+
+    def _by_owner(self, ids: np.ndarray):
+        """Yield ``(gpu, mask, local slots)`` of normal vertex ids per owner."""
+        if not ids.size:
+            return
+        layout = self.graph.layout
+        owners = layout.flat_gpu_of(ids)
+        slots = layout.local_index_of(ids)
+        for g in np.unique(owners):
+            mask = owners == g
+            yield int(g), mask, slots[mask]
+
+    def _charge_overlay(self, record: IterationRecord, edges: int) -> bool:
+        """Charge examined overlay edges to the step's counters and modeled
+        computation (unoverlapped — the overlay is a serial side-structure);
+        returns whether there was anything to relax."""
+        if edges == 0:
+            return False
+        record.edges_examined["overlay"] = record.edges_examined.get("overlay", 0) + edges
+        extra = self.netmodel.traversal_time(edges, backward=False)
+        record.computation_s += extra
+        record.elapsed_s += extra
+        return True
+
+
+class ValueFrontier(StepFrontier):
+    """Value-array frontiers of a :class:`FrontierProgram` run.
+
+    The state is a :class:`repro.core.state.TraversalState` seeded from
+    ``init`` (or the program's ``init_state``): per-vertex int64 values and
+    the changed-vertex frontiers.  Discoveries become values through the
+    program's ``visit_value``/``accept``/``merge_remote`` hooks; delegates
+    reduce as 1-bit visited masks or, for programs with a ``"values"``
+    delegate channel, as combined 64-bit values.  Backward workloads use the
+    paper's early-exit estimate.
+    """
+
+    def __init__(self, engine: TraversalEngine, program: FrontierProgram, init=None) -> None:
+        super().__init__(engine, program, program.direction_optimized_ok)
+        graph = self.graph
+        if init is None:
+            init = program.init_state(graph)
+        d = graph.num_delegates
+        self.state = TraversalState(
+            graph=graph,
+            normal_values=init.normal_values,
+            delegate_values=init.delegate_values,
+            delegate_visited=Bitmask.from_indices(
+                d, np.flatnonzero(init.delegate_values != UNVISITED)
+            )
+            if d
+            else Bitmask(0),
+            normal_frontiers=init.normal_frontiers,
+            delegate_frontier=init.delegate_frontier,
+        )
+        self.mask_channel = program.delegate_channel == "mask"
+        self.needs_sources = program.payload_exchange or not self.mask_channel
+        # Weighted programs gather edge weights on every forward visit (they
+        # never pull: needs_weights implies direction_optimized_ok=False).
+        self.weighted = getattr(program, "needs_weights", False)
+        self.keep_sources = {
+            "nn": program.payload_exchange,
+            "nd": not self.mask_channel,
+            "dn": self.needs_sources,
+            "dd": not self.mask_channel,
+        }
+
+    def advance(self) -> bool:
+        return not self.state.frontier_empty()
+
+    # ---- plan ---------------------------------------------------------- #
+    def begin_step(self) -> None:
+        super().begin_step()
+        state = self.state
+        d = self.graph.num_delegates
+        frontier_d = state.delegate_frontier
+        flags = np.zeros(d, dtype=bool)
+        if frontier_d.size:
+            flags[frontier_d] = True
+        self.dense_delegate = flags
+        self.open_delegates = (
+            state.unvisited_delegates() if self.pull_ok and d else _empty()
+        )
+        self.delegate_size = int(frontier_d.size)
+        self.sizes = (
+            int(sum(f.size for f in state.normal_frontiers)),
+            self.delegate_size,
+        )
+        self.nn_outboxes: list[np.ndarray] = []
+        self.nn_payloads: list[np.ndarray] = []
+        self.out_masks: list[Bitmask] = []
+        self.proposals: list[np.ndarray] = []
+        self.proposals_any = False
+        self.fresh_from_dn: list[np.ndarray] = []
+
+    def normal_size(self, g: int) -> int:
+        return int(self.state.normal_frontiers[g].size)
+
+    def queue(self, g: int, kernel: str) -> tuple:
+        state = self.state
+        frontier = (
+            state.normal_frontiers[g] if kernel in ("nn", "nd") else state.delegate_frontier
+        )
+        queue = self.provider.filter_frontier(frontier, self.degrees[g][kernel])
+        return queue, queue
+
+    def open_normals(self, g: int, rows: np.ndarray) -> np.ndarray:
+        return self.state.normal_values[g][rows] == UNVISITED
+
+    def backward_workload(self, g: int, kernel: str, cand: dict, deg: dict) -> float:
+        q = self.normal_size(g) if kernel == "nd" else self.delegate_size
+        return estimate_backward_workload(
+            cand[kernel].size, q=q, s=int(cand[_REVERSE[kernel]].size)
+        )
+
+    def normal_dense(self, g: int) -> np.ndarray:
+        flags = np.zeros(self.graph.gpus[g].num_local, dtype=bool)
+        frontier = self.state.normal_frontiers[g]
+        if frontier.size:
+            flags[frontier] = True
+        return flags
+
+    def forward_spec(self, kernel: str, queue: np.ndarray) -> VisitSpec:
+        return VisitSpec(
+            kernel,
+            kernel,
+            backward=False,
+            queue=queue,
+            keep_sources=self.keep_sources[kernel],
+            weighted=self.weighted,
+        )
+
+    def backward_spec(self, g: int, kernel: str, candidates: np.ndarray) -> VisitSpec:
+        return VisitSpec(
+            kernel,
+            _REVERSE[kernel],
+            backward=True,
+            candidates=candidates,
+            flags="normal" if kernel == "nd" else "delegate",
+            keep_sources=self.keep_sources[kernel],
+        )
+
+    # ---- finalize ------------------------------------------------------ #
+    def _value(
+        self, kernel, g, level, discovered, backward=False, sources=(None, None), weights=None
+    ) -> np.ndarray:
+        """The program's proposed values for ``discovered``."""
+        return self.program.visit_value(
+            VisitContext(
+                kernel=kernel,
+                gpu=g,
+                level=level,
+                backward=backward,
+                discovered=discovered,
+                source_ids=sources[0],
+                source_values=sources[1],
+                edge_weights=weights,
+            )
+        )
+
+    def _sources(self, g: int, kernel: str, out) -> tuple:
+        """Global ids and program values of a kernel's discovering sources."""
+        src = out.sources
+        state = self.state
+        if kernel in ("nn", "nd"):
+            # nn/nd edges originate at local normal vertices; forward rows
+            # and backward-pull hit parents are both local slots.
+            ids = self.graph.gpus[g].global_ids_of_locals(src)
+            vals = state.normal_values[g][src]
+        else:
+            # dn/dd edges originate at delegates in both directions.
+            ids = self.graph.delegate_vertices[src]
+            vals = state.delegate_values[src]
+        return np.asarray(ids, dtype=np.int64), np.asarray(vals, dtype=np.int64)
+
+    def _delegate_update(self, g: int, kernel: str, out, out_mask: Bitmask, level: int) -> None:
+        """Fold a kernel's delegate discoveries into the g-th GPU's update.
+
+        Mask channel: deduplicate, drop delegates whose replicated status is
+        already visited (a free local filter), set bits.  Values channel:
+        propose program values, keep only proposals the (replicated) current
+        values would accept, and combine them into the dense per-GPU
+        proposal array.
+        """
+        if out.discovered.size == 0:
+            return
+        state = self.state
+        if self.mask_channel:
+            found = np.unique(out.discovered)
+            # Drop delegates that are already visited (their status is
+            # replicated, so this local filter needs no communication
+            # and avoids pointless mask reductions).
+            found = found[~self.provider.bitmask_test_many(state.delegate_visited, found)]
+            if found.size:
+                self.provider.bitmask_set_many(out_mask, found)
+            return
+        ids = np.asarray(out.discovered, dtype=np.int64)
+        vals = self._value(
+            kernel, g, level, ids, out.backward, self._sources(g, kernel, out), out.weights
+        )
+        keep = self.program.accept(state.delegate_values[ids], vals)
+        ids, vals = ids[keep], vals[keep]
+        if ids.size:
+            self.program.combine.at(self.proposals[g], ids, vals)
+            self.proposals_any = True
+
+    def fold(self, g: int, outs: dict, level: int) -> None:
+        program = self.program
+        d = self.graph.num_delegates
+        out_mask = Bitmask(d)
+        if not self.mask_channel:
+            self.proposals.append(np.full(d, program.combine_identity, dtype=np.int64))
+        out_nn = outs["nn"]
+        self.nn_outboxes.append(out_nn.discovered)
+        if program.payload_exchange:
+            self.nn_payloads.append(
+                self._value(
+                    "nn", g, level, out_nn.discovered,
+                    sources=self._sources(g, "nn", out_nn), weights=out_nn.weights,
+                )
+            )
+        if d:
+            self._delegate_update(g, "nd", outs["nd"], out_mask, level)
+        newly_local = newly_local_values = _empty()
+        out_dn = outs.get("dn")
+        if out_dn is not None:
+            newly_local = out_dn.discovered
+            if newly_local.size:
+                sources = self._sources(g, "dn", out_dn) if self.needs_sources else (None, None)
+                newly_local_values = self._value(
+                    "dn", g, level, newly_local, out_dn.backward, sources, out_dn.weights
+                )
+        if d:
+            self._delegate_update(g, "dd", outs["dd"], out_mask, level)
+        slots, values = program.merge_remote(newly_local, newly_local_values)
+        self.fresh_from_dn.append(
+            self.state.update_normals(g, slots, values, program.accept)
+        )
+        self.out_masks.append(out_mask)
+
+    def exchange(self, communicator: Communicator, level: int) -> tuple:
+        opts = self.engine.options
+        program = self.program
+        state = self.state
         exchange = communicator.exchange_normals(
-            nn_outboxes,
+            self.nn_outboxes,
             local_all2all=opts.local_all2all,
             uniquify=opts.uniquify,
-            payloads=nn_payloads if program.payload_exchange else None,
+            payloads=self.nn_payloads if program.payload_exchange else None,
             payload_combine=program.combine,
             payload_identity=program.combine_identity,
         )
         discovered = 0
-        for g in range(p):
-            inbox = exchange.inboxes[g]
+        for g, inbox in enumerate(exchange.inboxes):
             if program.payload_exchange:
                 inbox_values = exchange.payload_inboxes[g]
             else:
-                inbox_values = program.visit_value(
-                    VisitContext(
-                        kernel="recv",
-                        gpu=g,
-                        level=level,
-                        backward=False,
-                        discovered=inbox,
-                    )
-                )
+                inbox_values = self._value("recv", g, level, inbox)
             slots, values = program.merge_remote(inbox, inbox_values)
             fresh_recv = state.update_normals(g, slots, values, program.accept)
-            if fresh_from_dn[g].size or fresh_recv.size:
-                state.normal_frontiers[g] = np.union1d(fresh_from_dn[g], fresh_recv)
+            fresh_dn = self.fresh_from_dn[g]
+            if fresh_dn.size or fresh_recv.size:
+                state.normal_frontiers[g] = np.union1d(fresh_dn, fresh_recv)
             else:
-                state.normal_frontiers[g] = np.zeros(0, dtype=np.int64)
+                state.normal_frontiers[g] = _empty()
             discovered += int(state.normal_frontiers[g].size)
+        return exchange, discovered
 
-        reduce_started = now_s()
-        wall["exchange"] += reduce_started - exchange_started
-        if tracer.enabled:
-            tracer.record_span(
-                "nn-exchange", cat="engine", start=exchange_started,
-                dur=reduce_started - exchange_started, args={"level": level},
-            )
-        if mask_channel:
-            delegate_reduce_needed = any(mask.any() for mask in out_masks)
-        else:
-            delegate_reduce_needed = delegate_proposals_any
-        reduce_local_s = 0.0
-        reduce_global_s = 0.0
-        if delegate_reduce_needed and mask_channel:
+    def reduce(self, communicator: Communicator, level: int) -> tuple:
+        opts = self.engine.options
+        program = self.program
+        state = self.state
+        if self.mask_channel and any(mask.any() for mask in self.out_masks):
             reduce = communicator.allreduce_delegate_masks(
-                out_masks, blocking=opts.blocking_reduce
+                self.out_masks, blocking=opts.blocking_reduce
             )
-            new_bits = reduce.merged.and_not(state.delegate_visited)
-            ids = new_bits.to_indices()
-            fresh_delegates = state.update_delegates(
+            ids = reduce.merged.and_not(state.delegate_visited).to_indices()
+            fresh = state.update_delegates(
                 ids,
                 np.full(ids.size, program.level_value(level), dtype=np.int64),
                 program.accept,
             )
-            reduce_local_s = reduce.local_time_s
-            reduce_global_s = reduce.global_time_s
-        elif delegate_reduce_needed:
-            vreduce = communicator.allreduce_delegate_values(
-                delegate_proposals, combine=program.combine, blocking=opts.blocking_reduce
+        elif not self.mask_channel and self.proposals_any:
+            reduce = communicator.allreduce_delegate_values(
+                self.proposals, combine=program.combine, blocking=opts.blocking_reduce
             )
-            candidates = np.flatnonzero(vreduce.merged != program.combine_identity)
-            fresh_delegates = state.update_delegates(
-                candidates, vreduce.merged[candidates], program.accept
+            candidates = np.flatnonzero(reduce.merged != program.combine_identity)
+            fresh = state.update_delegates(
+                candidates, reduce.merged[candidates], program.accept
             )
-            reduce_local_s = vreduce.local_time_s
-            reduce_global_s = vreduce.global_time_s
         else:
-            fresh_delegates = np.zeros(0, dtype=np.int64)
-        state.delegate_frontier = fresh_delegates
-        discovered += int(fresh_delegates.size)
-        reduce_done = now_s()
-        wall["delegate_reduce"] += reduce_done - reduce_started
-        if tracer.enabled:
-            tracer.record_span(
-                "delegate-reduce", cat="engine", start=reduce_started,
-                dur=reduce_done - reduce_started, args={"level": level},
-            )
+            state.delegate_frontier = _empty()
+            return False, 0.0, 0.0, 0
+        state.delegate_frontier = fresh
+        return True, reduce.local_time_s, reduce.global_time_s, int(fresh.size)
 
-        # ------------------------------------------------------------------ #
-        # Modeled timing for this super-step
-        # ------------------------------------------------------------------ #
-        computation_s = float(per_gpu_comp.max()) if p else 0.0
-        local_comm_s = exchange.local_time_s + reduce_local_s
-        remote_normal_s = exchange.remote_time_s
-        remote_delegate_s = reduce_global_s
-        comm_total = local_comm_s + remote_normal_s + remote_delegate_s
-        overlap = opts.overlap_efficiency * min(computation_s, comm_total)
-        elapsed_s = computation_s + comm_total - overlap
+    # ---- overlay ------------------------------------------------------- #
+    def capture(self) -> list:
+        state = self.state
+        segments = [
+            (g, slots) for g, slots in enumerate(state.normal_frontiers) if slots.size
+        ]
+        if state.delegate_frontier.size:
+            segments.append((-1, state.delegate_frontier))
+        return segments
 
-        return IterationRecord(
-            iteration=level,
-            normal_frontier_size=normal_frontier_total,
-            delegate_frontier_size=delegate_frontier_size,
-            edges_examined=edges_examined,
-            directions=directions,
-            discovered=discovered,
-            delegate_reduce=delegate_reduce_needed,
-            computation_s=computation_s,
-            local_communication_s=local_comm_s,
-            remote_normal_exchange_s=remote_normal_s,
-            remote_delegate_reduce_s=remote_delegate_s,
-            elapsed_s=elapsed_s,
-        )
+    def relax(self, overlay, segments: list, level: int, record: IterationRecord) -> None:
+        """Relax the overlay edges leaving the step's input frontier.
 
-    def _plan_batched_super_step(
-        self,
-        program: BatchedFrontierProgram,
-        state: "_BatchState",
-        communicator: Communicator,
-        dir_states: dict[str, list[DirectionState]],
-        level: int,
-        full_words: np.ndarray,
-        wall: dict,
-    ) -> SuperStepPlan:
-        """Describe one fused batched super-step as a backend-executable plan.
-
-        Mirrors :meth:`_plan_super_step` kernel for kernel, with lane words
-        in place of single visited bits: forward tasks OR-propagate the
-        source rows' words, backward tasks collect the full parent lists (no
-        early exit — each lane needs its own parents), and the ``finalize``
-        closure ships (vertex, source-bitset) pairs through the exchange and
-        runs one 2-D delegate reduction for the whole batch.
+        Runs on the coordinator after the planned kernels finish (so it is
+        backend-invariant), proposes values through the program's
+        ``visit_value``/``accept`` hooks exactly like a kernel discovery
+        would, and merges fresh vertices into the next frontier.  Source
+        values are read after the step, as a kernel of the next step would.
         """
-        opts = self.options
-        graph = self.graph
-        p = graph.num_gpus
-        d = graph.num_delegates
-        nwords = full_words.size
-        provider = self.provider
-        batched_filter_frontier = provider.batched_filter_frontier
-
-        rows_d = state.frontier_d_rows
-        words_d = state.frontier_d_words
-        dense_d = np.zeros((d, nwords), dtype=np.uint64)
-        if rows_d.size:
-            dense_d[rows_d] = words_d
-        if d:
-            wanted_d = np.bitwise_and(
-                np.bitwise_not(state.visited_d.words), full_words[None, :]
-            )
-            pull_ok = opts.direction_optimized
-            not_full_d = (
-                np.flatnonzero(wanted_d.any(axis=1)).astype(np.int64)
-                if pull_ok
-                else np.zeros(0, dtype=np.int64)
+        if not segments:
+            return
+        graph, state, program = self.graph, self.state, self.program
+        src_ids = np.concatenate([self._global_ids(g, rows) for g, rows in segments])
+        src_vals = np.concatenate([
+            state.normal_values[g][rows] if g >= 0 else state.delegate_values[rows]
+            for g, rows in segments
+        ])
+        weights = None
+        if self.weighted:
+            dst, rep_ids, rep_vals, weights, edges = overlay.propagate_weighted(
+                src_ids, src_vals
             )
         else:
-            wanted_d = np.zeros((0, nwords), dtype=np.uint64)
-            pull_ok = False
-            not_full_d = np.zeros(0, dtype=np.int64)
-
-        normal_frontier_total = int(sum(r.size for r in state.frontier_n_rows))
-        directions = {"nd": 0, "dn": 0, "dd": 0}
-        base_comp = np.zeros(p, dtype=np.float64)
-        wanted_n_all: list[np.ndarray] = []
-        gpu_plans: list[BatchedGPUPlan] = []
-
-        for g in range(p):
-            part = graph.gpus[g]
-            deg = self._degrees[g]
-            rows_n = state.frontier_n_rows[g]
-            words_n = state.frontier_n_words[g]
-            comp = self.netmodel.iteration_overhead()
-            comp += self.netmodel.filter_time(2 * rows_n.size + 2 * rows_d.size)
-            base_comp[g] = comp
-            # Lanes each local slot still wants; only the delegate-coupled
-            # kernels read it, so the all-normal partition never pays for it.
-            wanted_n = (
-                np.bitwise_and(
-                    np.bitwise_not(state.visited_n[g].words), full_words[None, :]
-                )
-                if d
-                else np.zeros((0, nwords), dtype=np.uint64)
-            )
-            wanted_n_all.append(wanted_n)
-            dense_n: np.ndarray | None = None
-
-            # ---- nn visit: always forward -------------------------------- #
-            q_rows, q_words = batched_filter_frontier(rows_n, words_n, deg["nn"])
-            visits = [
-                BatchedVisitSpec("nn", "nn", backward=False, rows=q_rows, words=q_words)
-            ]
-
-            # ---- shared backward candidate sets --------------------------- #
-            if d and pull_ok:
-                cand_nd = not_full_d[part.dn_source_mask[not_full_d]]
-                cand_dd = not_full_d[part.dd_source_mask[not_full_d]]
-            else:
-                cand_nd = np.zeros(0, dtype=np.int64)
-                cand_dd = np.zeros(0, dtype=np.int64)
-            if pull_ok and part.nd_source_list.size:
-                nd_src = part.nd_source_list
-                cand_dn = nd_src[wanted_n[nd_src].any(axis=1)]
-            else:
-                cand_dn = np.zeros(0, dtype=np.int64)
-
-            # ---- nd visit (destinations are delegates) -------------------- #
-            if d:
-                q_nd_rows, q_nd_words = batched_filter_frontier(rows_n, words_n, deg["nd"])
-                fv_nd = int(deg["nd"][q_nd_rows].sum()) if q_nd_rows.size else 0
-                # A batched pull has no early exit, so its workload is not the
-                # paper's expected-first-hit estimate but the exact full parent
-                # lists of the candidates — computable from the reverse CSR.
-                bv_nd = int(deg["dn"][cand_nd].sum()) if cand_nd.size else 0
-                if dir_states["nd"][g].decide(fv_nd, bv_nd):
-                    directions["nd"] += 1
-                    dense_n = np.zeros((part.num_local, nwords), dtype=np.uint64)
-                    if rows_n.size:
-                        dense_n[rows_n] = words_n
-                    visits.append(
-                        BatchedVisitSpec(
-                            "nd",
-                            "dn",
-                            backward=True,
-                            candidates=cand_nd,
-                            wanted=wanted_d[cand_nd],
-                            parents="normal",
-                        )
-                    )
-                else:
-                    visits.append(
-                        BatchedVisitSpec(
-                            "nd", "nd", backward=False, rows=q_nd_rows, words=q_nd_words
-                        )
-                    )
-
-            # ---- dn visit (destinations are local normal vertices) -------- #
-            if d and part.num_local:
-                q_dn_rows, q_dn_words = batched_filter_frontier(rows_d, words_d, deg["dn"])
-                fv_dn = int(deg["dn"][q_dn_rows].sum()) if q_dn_rows.size else 0
-                bv_dn = int(deg["nd"][cand_dn].sum()) if cand_dn.size else 0
-                if dir_states["dn"][g].decide(fv_dn, bv_dn):
-                    directions["dn"] += 1
-                    visits.append(
-                        BatchedVisitSpec(
-                            "dn",
-                            "nd",
-                            backward=True,
-                            candidates=cand_dn,
-                            wanted=wanted_n[cand_dn],
-                            parents="delegate",
-                        )
-                    )
-                else:
-                    visits.append(
-                        BatchedVisitSpec(
-                            "dn", "dn", backward=False, rows=q_dn_rows, words=q_dn_words
-                        )
-                    )
-
-            # ---- dd visit (delegates to delegates) ------------------------ #
-            if d:
-                q_dd_rows, q_dd_words = batched_filter_frontier(rows_d, words_d, deg["dd"])
-                fv_dd = int(deg["dd"][q_dd_rows].sum()) if q_dd_rows.size else 0
-                bv_dd = int(deg["dd"][cand_dd].sum()) if cand_dd.size else 0
-                if dir_states["dd"][g].decide(fv_dd, bv_dd):
-                    directions["dd"] += 1
-                    visits.append(
-                        BatchedVisitSpec(
-                            "dd",
-                            "dd",
-                            backward=True,
-                            candidates=cand_dd,
-                            wanted=wanted_d[cand_dd],
-                            parents="delegate",
-                        )
-                    )
-                else:
-                    visits.append(
-                        BatchedVisitSpec(
-                            "dd", "dd", backward=False, rows=q_dd_rows, words=q_dd_words
-                        )
-                    )
-
-            gpu_plans.append(BatchedGPUPlan(gpu=g, visits=visits, dense_normal=dense_n))
-
-        def finalize(outputs: list) -> IterationRecord:
-            return self._finalize_batched_super_step(
-                outputs,
-                program=program,
-                state=state,
-                communicator=communicator,
-                level=level,
-                wall=wall,
-                full_words=full_words,
-                base_comp=base_comp,
-                directions=directions,
-                normal_frontier_total=normal_frontier_total,
-                delegate_frontier_size=int(rows_d.size),
-                wanted_d=wanted_d,
-                wanted_n_all=wanted_n_all,
-            )
-
-        return SuperStepPlan(
-            level=level,
-            batched=True,
-            gpu_plans=gpu_plans,
-            finalize=finalize,
-            wall=wall,
-            dense_delegate=dense_d,
-            provider=provider,
+            dst, rep_ids, rep_vals, edges = overlay.propagate(src_ids, src_vals)
+        if not self._charge_overlay(record, edges):
+            return
+        values = self._value(
+            "overlay", -1, level, dst, sources=(rep_ids, rep_vals), weights=weights
         )
-
-    def _finalize_batched_super_step(
-        self,
-        outputs: list,
-        program: BatchedFrontierProgram,
-        state: "_BatchState",
-        communicator: Communicator,
-        level: int,
-        wall: dict,
-        full_words: np.ndarray,
-        base_comp: np.ndarray,
-        directions: dict,
-        normal_frontier_total: int,
-        delegate_frontier_size: int,
-        wanted_d: np.ndarray,
-        wanted_n_all: list,
-    ) -> IterationRecord:
-        """Fold batched kernel outputs, exchange, reduce (serial half)."""
-        opts = self.options
-        graph = self.graph
-        p = graph.num_gpus
-        d = graph.num_delegates
-        nwords = full_words.size
-
-        outboxes: list[np.ndarray] = []
-        outbox_words: list[np.ndarray] = []
-        update_masks: list[BatchBitmask] = []
-        fresh_dn_rows: list[np.ndarray] = []
-        fresh_dn_words: list[np.ndarray] = []
-        per_gpu_comp = np.zeros(p, dtype=np.float64)
-        edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
-        tracer = get_tracer()
-        fold_started = now_s()
-
-        def propose_delegates(update: BatchBitmask, out) -> None:
-            """Fold a kernel's delegate discoveries into this GPU's update,
-            dropping lanes already visited (the free replicated-status
-            filter, exactly as the sequential mask channel does)."""
-            if out.discovered.size == 0:
-                return
-            words = out.words & wanted_d[out.discovered]
-            keep = words.any(axis=1)
-            if keep.any():
-                update.or_rows(out.discovered[keep], words[keep])
-
-        for g in range(p):
-            part = graph.gpus[g]
-            outs = outputs[g]
-            wanted_n = wanted_n_all[g]
-            comp = base_comp[g]
-            update_d = BatchBitmask(d, state.width) if d else BatchBitmask(0, state.width)
-
-            # ---- nn visit: always forward -------------------------------- #
-            out_nn = outs["nn"]
-            comp += self.netmodel.traversal_time(out_nn.edges_examined, backward=False)
-            edges_examined["nn"] += out_nn.edges_examined
-            outboxes.append(out_nn.discovered)
-            outbox_words.append(out_nn.words)
-
-            # ---- nd visit (destinations are delegates) -------------------- #
-            if d:
-                out_nd = outs["nd"]
-                comp += self.netmodel.traversal_time(
-                    out_nd.edges_examined, backward=out_nd.backward
-                )
-                edges_examined["nd"] += out_nd.edges_examined
-                propose_delegates(update_d, out_nd)
-
-            # ---- dn visit (destinations are local normal vertices) -------- #
-            f_rows = np.zeros(0, dtype=np.int64)
-            f_words = np.zeros((0, nwords), dtype=np.uint64)
-            if d and part.num_local:
-                out_dn = outs["dn"]
-                comp += self.netmodel.traversal_time(
-                    out_dn.edges_examined, backward=out_dn.backward
-                )
-                edges_examined["dn"] += out_dn.edges_examined
-                if out_dn.discovered.size:
-                    new = out_dn.words & wanted_n[out_dn.discovered]
-                    keep = new.any(axis=1)
-                    f_rows = out_dn.discovered[keep]
-                    f_words = new[keep]
-                    if f_rows.size:
-                        state.visited_n[g].or_rows(f_rows, f_words)
-                        program.record(
-                            part.global_ids_of_locals(f_rows), f_words, level
-                        )
-
-            # ---- dd visit (delegates to delegates) ------------------------ #
-            if d:
-                out_dd = outs["dd"]
-                comp += self.netmodel.traversal_time(
-                    out_dd.edges_examined, backward=out_dd.backward
-                )
-                edges_examined["dd"] += out_dd.edges_examined
-                propose_delegates(update_d, out_dd)
-
-            update_masks.append(update_d)
-            fresh_dn_rows.append(f_rows)
-            fresh_dn_words.append(f_words)
-            per_gpu_comp[g] = comp
-
-        # ------------------------------------------------------------------ #
-        # Communication stage
-        # ------------------------------------------------------------------ #
-        exchange_started = now_s()
-        wall["kernels"] += exchange_started - fold_started
-        if tracer.enabled:
-            tracer.record_span(
-                "fold", cat="engine", start=fold_started,
-                dur=exchange_started - fold_started, args={"level": level},
-            )
-        exchange = communicator.exchange_batch(outboxes, outbox_words)
-        discovered = 0
-        for g in range(p):
-            inbox = exchange.inboxes[g]
-            rows_recv = np.zeros(0, dtype=np.int64)
-            words_recv = np.zeros((0, nwords), dtype=np.uint64)
-            if inbox.size:
-                unique, inverse = np.unique(inbox, return_inverse=True)
-                proposed = np.zeros((unique.size, nwords), dtype=np.uint64)
-                np.bitwise_or.at(proposed, inverse, exchange.word_inboxes[g])
-                current = state.visited_n[g].words[unique]
-                new = proposed & np.bitwise_not(current) & full_words[None, :]
-                keep = new.any(axis=1)
-                rows_recv = unique[keep]
-                words_recv = new[keep]
-                if rows_recv.size:
-                    state.visited_n[g].or_rows(rows_recv, words_recv)
-                    program.record(
-                        graph.gpus[g].global_ids_of_locals(rows_recv), words_recv, level
-                    )
-            rows_all = np.concatenate([fresh_dn_rows[g], rows_recv])
-            if rows_all.size:
-                words_all = np.concatenate([fresh_dn_words[g], words_recv])
-                unique, inverse = np.unique(rows_all, return_inverse=True)
-                merged = np.zeros((unique.size, nwords), dtype=np.uint64)
-                np.bitwise_or.at(merged, inverse, words_all)
-                state.frontier_n_rows[g] = unique
-                state.frontier_n_words[g] = merged
-            else:
-                state.frontier_n_rows[g] = rows_all
-                state.frontier_n_words[g] = np.zeros((0, nwords), dtype=np.uint64)
-            discovered += int(state.frontier_n_rows[g].size)
-
-        reduce_started = now_s()
-        wall["exchange"] += reduce_started - exchange_started
-        if tracer.enabled:
-            tracer.record_span(
-                "nn-exchange", cat="engine", start=exchange_started,
-                dur=reduce_started - exchange_started, args={"level": level},
-            )
-        delegate_reduce_needed = any(mask.any() for mask in update_masks)
-        reduce_local_s = 0.0
-        reduce_global_s = 0.0
-        if delegate_reduce_needed:
-            reduce = communicator.allreduce_delegate_batch(
-                update_masks, blocking=opts.blocking_reduce
-            )
-            new_bits = reduce.merged.and_not(state.visited_d)
-            rows = new_bits.nonzero_rows()
-            words = new_bits.words[rows]
-            state.visited_d.or_with(new_bits)
-            state.frontier_d_rows = rows
-            state.frontier_d_words = words
-            if rows.size:
-                program.record(graph.delegate_vertices[rows], words, level)
-            reduce_local_s = reduce.local_time_s
-            reduce_global_s = reduce.global_time_s
-        else:
-            state.frontier_d_rows = np.zeros(0, dtype=np.int64)
-            state.frontier_d_words = np.zeros((0, nwords), dtype=np.uint64)
-        discovered += int(state.frontier_d_rows.size)
-        reduce_done = now_s()
-        wall["delegate_reduce"] += reduce_done - reduce_started
-        if tracer.enabled:
-            tracer.record_span(
-                "delegate-reduce", cat="engine", start=reduce_started,
-                dur=reduce_done - reduce_started, args={"level": level},
-            )
-
-        computation_s = float(per_gpu_comp.max()) if p else 0.0
-        local_comm_s = exchange.local_time_s + reduce_local_s
-        remote_normal_s = exchange.remote_time_s
-        remote_delegate_s = reduce_global_s
-        comm_total = local_comm_s + remote_normal_s + remote_delegate_s
-        overlap = opts.overlap_efficiency * min(computation_s, comm_total)
-        elapsed_s = computation_s + comm_total - overlap
-
-        return IterationRecord(
-            iteration=level,
-            normal_frontier_size=normal_frontier_total,
-            delegate_frontier_size=delegate_frontier_size,
-            edges_examined=edges_examined,
-            directions=directions,
-            discovered=discovered,
-            delegate_reduce=delegate_reduce_needed,
-            computation_s=computation_s,
-            local_communication_s=local_comm_s,
-            remote_normal_exchange_s=remote_normal_s,
-            remote_delegate_reduce_s=remote_delegate_s,
-            elapsed_s=elapsed_s,
+        ids, vals = program.merge_remote(dst, values)
+        delegate_ids = graph.delegate_id_of_vertex(ids)
+        is_delegate = delegate_ids >= 0
+        fresh = state.update_delegates(
+            delegate_ids[is_delegate], vals[is_delegate], program.accept
         )
+        if fresh.size:
+            state.delegate_frontier = np.union1d(state.delegate_frontier, fresh)
+            record.discovered += int(fresh.size)
+        normal_vals = vals[~is_delegate]
+        for g, mask, slots in self._by_owner(ids[~is_delegate]):
+            fresh = state.update_normals(g, slots, normal_vals[mask], program.accept)
+            if fresh.size:
+                state.normal_frontiers[g] = np.union1d(state.normal_frontiers[g], fresh)
+                record.discovered += int(fresh.size)
 
 
-class _BatchState:
-    """Mutable per-run state of one batched traversal.
+class LaneFrontier(StepFrontier):
+    """Lane-word frontiers of a :class:`BatchedFrontierProgram` run.
 
     Per GPU, a :class:`BatchBitmask` over the local normal slots plus the
     (rows, words) frontier of the last super-step's discoveries; replicated,
-    the delegate batch mask and frontier — the 2-D analogue of
-    :class:`repro.core.state.TraversalState` for lane-bitset programs.
+    the delegate batch mask and frontier.  Forward tasks OR-propagate the
+    source rows' words, backward tasks collect the full parent lists (no
+    early exit — each lane needs its own parents, so the backward workload
+    is exact), the exchange ships (vertex, source-bitset) pairs and one 2-D
+    delegate reduction serves the whole batch.
     """
 
-    __slots__ = (
-        "width",
-        "visited_n",
-        "visited_d",
-        "frontier_n_rows",
-        "frontier_n_words",
-        "frontier_d_rows",
-        "frontier_d_words",
-    )
+    batched = True
 
-    def __init__(self, width: int) -> None:
+    def __init__(self, engine: TraversalEngine, program: BatchedFrontierProgram) -> None:
+        super().__init__(engine, program, direction_ok=True)
+        graph = self.graph
+        width = program.width
         self.width = width
+        self.nwords = nwords = (width + 63) // 64
+        self.span_args = {"width": width}
+        # Lane-word mask of the valid lanes in the last word (the padding
+        # lanes beyond B must never go hot).
+        self.full_words = np.full(nwords, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
+        if width & 63:
+            self.full_words[-1] = np.uint64((1 << (width & 63)) - 1)
 
-    @classmethod
-    def initialize(cls, graph: PartitionedGraph, sources, width: int) -> "_BatchState":
-        state = cls(width)
-        nwords = (width + 63) // 64
-        d = graph.num_delegates
-        state.visited_n = [BatchBitmask(gpu.num_local, width) for gpu in graph.gpus]
-        state.visited_d = BatchBitmask(d, width)
-        d_rows: list[int] = []
-        d_lanes: list[int] = []
-        n_rows: dict[int, list[int]] = {}
-        n_lanes: dict[int, list[int]] = {}
-        for lane, source in enumerate(sources):
-            delegate_id = int(graph.separation.delegate_id_of[source])
-            if delegate_id >= 0:
-                d_rows.append(delegate_id)
-                d_lanes.append(lane)
-            else:
-                owner = int(graph.layout.flat_gpu_of(source))
-                n_rows.setdefault(owner, []).append(
-                    int(graph.layout.local_index_of(source))
-                )
-                n_lanes.setdefault(owner, []).append(lane)
-        if d_rows:
-            state.visited_d.set_lanes(
-                np.asarray(d_rows, dtype=np.int64), np.asarray(d_lanes, dtype=np.int64)
+        self.visited_n = [BatchBitmask(gpu.num_local, width) for gpu in graph.gpus]
+        self.visited_d = BatchBitmask(graph.num_delegates, width)
+        lanes = np.arange(width, dtype=np.int64)
+        sources = np.asarray(program.sources, dtype=np.int64)
+        delegate_ids = graph.separation.delegate_id_of[sources]
+        is_delegate = delegate_ids >= 0
+        if is_delegate.any():
+            self.visited_d.set_lanes(
+                np.asarray(delegate_ids[is_delegate], dtype=np.int64), lanes[is_delegate]
             )
-        for owner, rows in n_rows.items():
-            state.visited_n[owner].set_lanes(
-                np.asarray(rows, dtype=np.int64),
-                np.asarray(n_lanes[owner], dtype=np.int64),
+        owners = graph.layout.flat_gpu_of(sources[~is_delegate])
+        slots = graph.layout.local_index_of(sources[~is_delegate])
+        for g in np.unique(owners):
+            mask = owners == g
+            self.visited_n[int(g)].set_lanes(
+                np.asarray(slots[mask], dtype=np.int64), lanes[~is_delegate][mask]
             )
         # The initial frontiers are exactly the seeds (nothing else is set).
-        state.frontier_n_rows = []
-        state.frontier_n_words = []
-        for mask in state.visited_n:
-            rows = mask.nonzero_rows()
-            state.frontier_n_rows.append(rows)
-            state.frontier_n_words.append(mask.get_rows(rows))
-        rows = state.visited_d.nonzero_rows()
-        state.frontier_d_rows = rows
-        state.frontier_d_words = (
-            state.visited_d.get_rows(rows)
-            if rows.size
+        self.frontier_n_rows = [mask.nonzero_rows() for mask in self.visited_n]
+        self.frontier_n_words = [
+            mask.get_rows(rows) for mask, rows in zip(self.visited_n, self.frontier_n_rows)
+        ]
+        self.frontier_d_rows = self.visited_d.nonzero_rows()
+        self.frontier_d_words = (
+            self.visited_d.get_rows(self.frontier_d_rows)
+            if self.frontier_d_rows.size
             else np.zeros((0, nwords), dtype=np.uint64)
         )
-        return state
 
-    def frontier_empty(self) -> bool:
-        """Whether both the normal and delegate frontiers are empty everywhere."""
+    def advance(self) -> bool:
         if self.frontier_d_rows.size:
-            return False
-        return all(rows.size == 0 for rows in self.frontier_n_rows)
+            return True
+        return any(rows.size for rows in self.frontier_n_rows)
+
+    def _no_words(self) -> np.ndarray:
+        return np.zeros((0, self.nwords), dtype=np.uint64)
+
+    def _claim(self, visited: BatchBitmask, rows, proposed, ids_of, level: int) -> tuple:
+        """Set the lanes of ``proposed`` not yet in ``visited`` and record
+        them as first visits; returns the (rows, words) that were new."""
+        new = proposed & np.bitwise_not(visited.words[rows]) & self.full_words[None, :]
+        keep = new.any(axis=1)
+        rows, new = rows[keep], new[keep]
+        if rows.size:
+            visited.or_rows(rows, new)
+            self.program.record(ids_of(rows), new, level)
+        return rows, new
+
+    # ---- plan ---------------------------------------------------------- #
+    def begin_step(self) -> None:
+        super().begin_step()
+        graph = self.graph
+        d = graph.num_delegates
+        full = self.full_words[None, :]
+        rows_d = self.frontier_d_rows
+        dense = np.zeros((d, self.nwords), dtype=np.uint64)
+        if rows_d.size:
+            dense[rows_d] = self.frontier_d_words
+        self.dense_delegate = dense
+        # Lanes each delegate / local slot still wants; only the
+        # delegate-coupled kernels read them, so the all-normal partition
+        # never pays for them.
+        self.wanted_d = (
+            np.bitwise_and(np.bitwise_not(self.visited_d.words), full)
+            if d
+            else self._no_words()
+        )
+        self.wanted_n = [
+            np.bitwise_and(np.bitwise_not(mask.words), full) if d else self._no_words()
+            for mask in self.visited_n
+        ]
+        self.open_delegates = (
+            np.flatnonzero(self.wanted_d.any(axis=1)).astype(np.int64)
+            if self.pull_ok and d
+            else _empty()
+        )
+        self.delegate_size = int(rows_d.size)
+        self.sizes = (int(sum(r.size for r in self.frontier_n_rows)), self.delegate_size)
+        self.outboxes: list[np.ndarray] = []
+        self.outbox_words: list[np.ndarray] = []
+        self.update_masks: list[BatchBitmask] = []
+        self.fresh_dn: list[tuple] = []
+
+    def normal_size(self, g: int) -> int:
+        return int(self.frontier_n_rows[g].size)
+
+    def queue(self, g: int, kernel: str) -> tuple:
+        if kernel in ("nn", "nd"):
+            rows, words = self.frontier_n_rows[g], self.frontier_n_words[g]
+        else:
+            rows, words = self.frontier_d_rows, self.frontier_d_words
+        queue = self.provider.batched_filter_frontier(rows, words, self.degrees[g][kernel])
+        return queue[0], queue
+
+    def open_normals(self, g: int, rows: np.ndarray) -> np.ndarray:
+        return self.wanted_n[g][rows].any(axis=1)
+
+    def backward_workload(self, g: int, kernel: str, cand: dict, deg: dict) -> int:
+        # A batched pull has no early exit, so its workload is not the
+        # paper's expected-first-hit estimate but the exact full parent
+        # lists of the candidates — computable from the reverse CSR.
+        rows = cand[kernel]
+        return int(deg[_REVERSE[kernel]][rows].sum()) if rows.size else 0
+
+    def normal_dense(self, g: int) -> np.ndarray:
+        dense = np.zeros((self.graph.gpus[g].num_local, self.nwords), dtype=np.uint64)
+        rows = self.frontier_n_rows[g]
+        if rows.size:
+            dense[rows] = self.frontier_n_words[g]
+        return dense
+
+    def forward_spec(self, kernel: str, queue: tuple) -> BatchedVisitSpec:
+        return BatchedVisitSpec(kernel, kernel, backward=False, rows=queue[0], words=queue[1])
+
+    def backward_spec(self, g: int, kernel: str, candidates: np.ndarray) -> BatchedVisitSpec:
+        wanted = self.wanted_n[g] if kernel == "dn" else self.wanted_d
+        return BatchedVisitSpec(
+            kernel,
+            _REVERSE[kernel],
+            backward=True,
+            candidates=candidates,
+            wanted=wanted[candidates],
+            parents="normal" if kernel == "nd" else "delegate",
+        )
+
+    # ---- finalize ------------------------------------------------------ #
+    def _propose_delegates(self, update: BatchBitmask, out) -> None:
+        """Fold a kernel's delegate discoveries into this GPU's update,
+        dropping lanes already visited (the free replicated-status filter,
+        exactly as the sequential mask channel does)."""
+        if out.discovered.size == 0:
+            return
+        words = out.words & self.wanted_d[out.discovered]
+        keep = words.any(axis=1)
+        if keep.any():
+            update.or_rows(out.discovered[keep], words[keep])
+
+    def fold(self, g: int, outs: dict, level: int) -> None:
+        d = self.graph.num_delegates
+        update = BatchBitmask(d, self.width)
+        out_nn = outs["nn"]
+        self.outboxes.append(out_nn.discovered)
+        self.outbox_words.append(out_nn.words)
+        if d:
+            self._propose_delegates(update, outs["nd"])
+        fresh = (_empty(), self._no_words())
+        out_dn = outs.get("dn")
+        if out_dn is not None and out_dn.discovered.size:
+            fresh = self._claim(
+                self.visited_n[g], out_dn.discovered, out_dn.words,
+                self.graph.gpus[g].global_ids_of_locals, level,
+            )
+        if d:
+            self._propose_delegates(update, outs["dd"])
+        self.update_masks.append(update)
+        self.fresh_dn.append(fresh)
+
+    def exchange(self, communicator: Communicator, level: int) -> tuple:
+        exchange = communicator.exchange_batch(self.outboxes, self.outbox_words)
+        discovered = 0
+        for g, inbox in enumerate(exchange.inboxes):
+            rows, proposed = _or_merge([inbox], [exchange.word_inboxes[g]], self.nwords)
+            rows, words = self._claim(
+                self.visited_n[g], rows, proposed,
+                self.graph.gpus[g].global_ids_of_locals, level,
+            )
+            fresh_rows, fresh_words = self.fresh_dn[g]
+            self.frontier_n_rows[g], self.frontier_n_words[g] = _or_merge(
+                [fresh_rows, rows], [fresh_words, words], self.nwords
+            )
+            discovered += int(self.frontier_n_rows[g].size)
+        return exchange, discovered
+
+    def reduce(self, communicator: Communicator, level: int) -> tuple:
+        if not any(mask.any() for mask in self.update_masks):
+            self.frontier_d_rows, self.frontier_d_words = _empty(), self._no_words()
+            return False, 0.0, 0.0, 0
+        reduce = communicator.allreduce_delegate_batch(
+            self.update_masks, blocking=self.engine.options.blocking_reduce
+        )
+        new_bits = reduce.merged.and_not(self.visited_d)
+        rows = new_bits.nonzero_rows()
+        words = new_bits.words[rows]
+        self.visited_d.or_with(new_bits)
+        self.frontier_d_rows, self.frontier_d_words = rows, words
+        if rows.size:
+            self.program.record(self.graph.delegate_vertices[rows], words, level)
+        return True, reduce.local_time_s, reduce.global_time_s, int(rows.size)
+
+    # ---- overlay ------------------------------------------------------- #
+    def capture(self) -> list:
+        segments = [
+            (g, rows, self.frontier_n_words[g])
+            for g, rows in enumerate(self.frontier_n_rows)
+            if rows.size
+        ]
+        if self.frontier_d_rows.size:
+            segments.append((-1, self.frontier_d_rows, self.frontier_d_words))
+        return segments
+
+    def relax(self, overlay, segments: list, level: int, record: IterationRecord) -> None:
+        """Lane-word overlay relaxation: OR-propagate the input frontier's
+        words across the overlay edges and record first visits per lane,
+        keeping every lane bit-identical to its sequential run on the same
+        mutable graph."""
+        if not segments:
+            return
+        graph, nwords = self.graph, self.nwords
+        dst, words, edges = overlay.propagate_batch(
+            np.concatenate([self._global_ids(g, rows) for g, rows, _ in segments]),
+            np.concatenate([w for _, _, w in segments]),
+            nwords,
+        )
+        if not self._charge_overlay(record, edges):
+            return
+        delegate_ids = graph.delegate_id_of_vertex(dst)
+        is_delegate = delegate_ids >= 0
+        if is_delegate.any():
+            rows, new = self._claim(
+                self.visited_d, delegate_ids[is_delegate], words[is_delegate],
+                graph.delegate_vertices.__getitem__, level,
+            )
+            if rows.size:
+                self.frontier_d_rows, self.frontier_d_words = _or_merge(
+                    [self.frontier_d_rows, rows], [self.frontier_d_words, new], nwords
+                )
+                record.discovered += int(rows.size)
+        normal_words = words[~is_delegate]
+        for g, mask, slots in self._by_owner(dst[~is_delegate]):
+            rows, new = self._claim(
+                self.visited_n[g], slots, normal_words[mask],
+                graph.gpus[g].global_ids_of_locals, level,
+            )
+            if rows.size:
+                self.frontier_n_rows[g], self.frontier_n_words[g] = _or_merge(
+                    [self.frontier_n_rows[g], rows], [self.frontier_n_words[g], new], nwords
+                )
+                record.discovered += int(rows.size)
 
 
 class DistributedBFS:

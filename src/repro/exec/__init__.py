@@ -46,12 +46,10 @@ from repro.exec.backend import (
     resolve_backend,
 )
 from repro.exec.plan import (
-    BatchedGPUPlan,
     BatchedVisitSpec,
     GPUPlan,
     SuperStepPlan,
     VisitSpec,
-    execute_batched_gpu_plan,
     execute_gpu_plan,
 )
 from repro.exec.providers import (
@@ -85,11 +83,9 @@ __all__ = [
     "resolve_provider",
     "SuperStepPlan",
     "GPUPlan",
-    "BatchedGPUPlan",
     "VisitSpec",
     "BatchedVisitSpec",
     "execute_gpu_plan",
-    "execute_batched_gpu_plan",
 ]
 
 

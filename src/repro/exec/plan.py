@@ -40,10 +40,8 @@ __all__ = [
     "VisitSpec",
     "BatchedVisitSpec",
     "GPUPlan",
-    "BatchedGPUPlan",
     "SuperStepPlan",
     "execute_gpu_plan",
-    "execute_batched_gpu_plan",
     "worker_spans",
 ]
 
@@ -73,9 +71,9 @@ class VisitSpec:
     flags:
         Backward tasks: which shared frontier flag buffer the pull tests
         parents against — ``"normal"`` (this GPU's dense local-slot flags,
-        :attr:`GPUPlan.normal_flags`) or ``"delegate"`` (the replicated
+        :attr:`GPUPlan.dense_normal`) or ``"delegate"`` (the replicated
         delegate flags shared by every GPU,
-        :attr:`SuperStepPlan.delegate_flags`).
+        :attr:`SuperStepPlan.dense_delegate`).
     keep_sources:
         Whether the fold will read the kernel's ``sources`` array (only
         programs carrying per-discovery payloads do).  Remote backends may
@@ -102,6 +100,17 @@ class VisitSpec:
     weighted: bool = False
     row_values: np.ndarray | None = None
 
+    def run(self, provider, csr, dense_normal, dense_delegate):
+        """Run this task's kernel over ``csr`` through ``provider``."""
+        if self.backward:
+            flags = dense_normal if self.flags == "normal" else dense_delegate
+            return provider.backward_visit(csr, self.candidates, flags)
+        if self.row_values is not None:
+            return provider.contrib_visit(csr, self.queue, self.row_values)
+        if self.weighted:
+            return provider.weighted_forward_visit(csr, self.queue)
+        return provider.forward_visit(csr, self.queue)
+
 
 @dataclass
 class BatchedVisitSpec:
@@ -111,7 +120,7 @@ class BatchedVisitSpec:
     forward tasks carry the (rows, words) frontier, backward tasks the
     candidate rows, their still-wanted lane words, and a reference to the
     dense parent lane-word buffer (``"normal"`` = this GPU's
-    :attr:`BatchedGPUPlan.dense_normal`, ``"delegate"`` = the shared
+    :attr:`GPUPlan.dense_normal`, ``"delegate"`` = the shared
     :attr:`SuperStepPlan.dense_delegate`).
     """
 
@@ -124,26 +133,23 @@ class BatchedVisitSpec:
     wanted: np.ndarray | None = None
     parents: str | None = None
 
+    def run(self, provider, csr, dense_normal, dense_delegate):
+        """Run this task's batched kernel over ``csr`` through ``provider``."""
+        if self.backward:
+            parents = dense_normal if self.parents == "normal" else dense_delegate
+            return provider.batched_backward_visit(csr, self.candidates, parents, self.wanted)
+        return provider.batched_forward_visit(csr, self.rows, self.words)
+
 
 @dataclass
 class GPUPlan:
-    """All visit-kernel tasks of one GPU for one sequential super-step."""
+    """All visit-kernel tasks of one GPU for one super-step."""
 
     gpu: int
     visits: list = field(default_factory=list)
-    #: Dense boolean frontier over this GPU's local slots; present exactly
-    #: when some task pulls with ``flags="normal"``.
-    normal_flags: np.ndarray | None = None
-
-
-@dataclass
-class BatchedGPUPlan:
-    """All visit-kernel tasks of one GPU for one batched super-step."""
-
-    gpu: int
-    visits: list = field(default_factory=list)
-    #: Dense ``(num_local, nwords)`` frontier lane words; present exactly
-    #: when some task pulls with ``parents="normal"``.
+    #: Dense frontier over this GPU's local slots — boolean flags, or
+    #: ``(num_local, nwords)`` lane words on batched plans; present exactly
+    #: when some task pulls from normal parents.
     dense_normal: np.ndarray | None = None
 
 
@@ -166,9 +172,8 @@ class SuperStepPlan:
     gpu_plans: list
     finalize: Callable[[list], object]
     wall: dict
-    #: Sequential plans: replicated delegate frontier flags (bool, size d).
-    delegate_flags: np.ndarray | None = None
-    #: Batched plans: dense ``(d, nwords)`` delegate frontier lane words.
+    #: The replicated delegate frontier backward pulls test: boolean flags
+    #: (size d), or dense ``(d, nwords)`` lane words on batched plans.
     dense_delegate: np.ndarray | None = None
     #: The :class:`~repro.exec.providers.KernelProvider` computing the visit
     #: kernels (``None`` = NumPy).  In-process backends use it directly;
@@ -185,24 +190,27 @@ class SuperStepPlan:
 def execute_gpu_plan(
     gpu_plan: GPUPlan,
     resolve_csr: Callable[[int, str], object],
-    delegate_flags: np.ndarray | None,
+    dense_delegate: np.ndarray | None,
     strip_sources: bool = False,
     provider=None,
     collect_spans: bool = False,
 ) -> dict:
-    """Run every sequential visit task of one GPU; outputs keyed by kernel.
+    """Run every visit task of one GPU; outputs keyed by kernel.
 
+    Each task runs its own kernel (:meth:`VisitSpec.run` or
+    :meth:`BatchedVisitSpec.run`) against the GPU's dense normal frontier
+    and the plan's shared ``dense_delegate`` frontier.
     ``resolve_csr(gpu, name)`` maps a task's subgraph reference to a CSR —
     the in-process partition for :class:`~repro.exec.backend.InlineBackend`,
     a shared-memory view inside a :class:`~repro.exec.process.ProcessBackend`
     worker.  ``provider`` picks the kernel implementation
     (:mod:`repro.exec.providers`; ``None`` = NumPy).  With ``strip_sources``
-    the ``sources`` arrays of tasks that declared ``keep_sources=False`` are
-    dropped (they can be as large as the examined edge set, and the fold
-    never reads them).  With ``collect_spans`` the per-kernel wall timings
-    ride back under the reserved ``"_spans"`` output key (see
-    :func:`worker_spans`); when ``False`` — the default, and always when
-    tracing is off — the kernel loop performs no timing work at all.
+    the ``sources`` arrays of sequential tasks that declared
+    ``keep_sources=False`` are dropped (they can be as large as the examined
+    edge set, and the fold never reads them).  With ``collect_spans`` the
+    per-kernel wall timings ride back under the reserved ``"_spans"`` output
+    key (see :func:`worker_spans`); when ``False`` — the default, and always
+    when tracing is off — the kernel loop performs no timing work at all.
     """
     if provider is None:
         provider = get_provider("numpy")
@@ -212,54 +220,9 @@ def execute_gpu_plan(
     for spec in gpu_plan.visits:
         started = now_s() if collect_spans else 0.0
         csr = resolve_csr(gpu_plan.gpu, spec.csr)
-        if spec.backward:
-            flags = gpu_plan.normal_flags if spec.flags == "normal" else delegate_flags
-            out = provider.backward_visit(csr, spec.candidates, flags)
-        elif spec.row_values is not None:
-            out = provider.contrib_visit(csr, spec.queue, spec.row_values)
-        elif spec.weighted:
-            out = provider.weighted_forward_visit(csr, spec.queue)
-        else:
-            out = provider.forward_visit(csr, spec.queue)
+        out = spec.run(provider, csr, gpu_plan.dense_normal, dense_delegate)
         if strip_sources and not spec.keep_sources:
             out.sources = _EMPTY_I64
-        outputs[spec.kernel] = out
-        if collect_spans:
-            ended = now_s()
-            kind = "pull" if spec.backward else "push"
-            spans.append((f"{spec.kernel}:{kind}", started - base, ended - started))
-    if collect_spans:
-        outputs["_spans"] = {"base": base, "spans": spans}
-    return outputs
-
-
-def execute_batched_gpu_plan(
-    gpu_plan: BatchedGPUPlan,
-    resolve_csr: Callable[[int, str], object],
-    dense_delegate: np.ndarray | None,
-    provider=None,
-    collect_spans: bool = False,
-) -> dict:
-    """Run every batched visit task of one GPU; outputs keyed by kernel.
-
-    ``collect_spans`` mirrors :func:`execute_gpu_plan`: per-kernel timings
-    ride back under the reserved ``"_spans"`` key.
-    """
-    if provider is None:
-        provider = get_provider("numpy")
-    outputs: dict = {}
-    spans = [] if collect_spans else None
-    base = now_s() if collect_spans else 0.0
-    for spec in gpu_plan.visits:
-        started = now_s() if collect_spans else 0.0
-        csr = resolve_csr(gpu_plan.gpu, spec.csr)
-        if spec.backward:
-            parents = (
-                gpu_plan.dense_normal if spec.parents == "normal" else dense_delegate
-            )
-            out = provider.batched_backward_visit(csr, spec.candidates, parents, spec.wanted)
-        else:
-            out = provider.batched_forward_visit(csr, spec.rows, spec.words)
         outputs[spec.kernel] = out
         if collect_spans:
             ended = now_s()

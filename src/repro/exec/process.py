@@ -43,13 +43,7 @@ import weakref
 import numpy as np
 
 from repro.exec.backend import ExecutionBackend
-from repro.exec.plan import (
-    BatchedGPUPlan,
-    GPUPlan,
-    SuperStepPlan,
-    execute_batched_gpu_plan,
-    execute_gpu_plan,
-)
+from repro.exec.plan import GPUPlan, SuperStepPlan, execute_gpu_plan
 from repro.exec.providers import resolve_provider
 from repro.exec.shm import (
     SegmentCache,
@@ -155,8 +149,8 @@ def _run_task(task: tuple):
         dense_delegate, dense_normal = batch_views_from_descriptor(
             cache, batch_descriptor, gpu, nwords
         )
-        plan = BatchedGPUPlan(gpu, visits, dense_normal if has_own_flags else None)
-        return gpu, execute_batched_gpu_plan(
+        plan = GPUPlan(gpu, visits, dense_normal if has_own_flags else None)
+        return gpu, execute_gpu_plan(
             plan, resolve_csr, dense_delegate, provider=provider,
             collect_spans=collect_spans,
         )
@@ -268,12 +262,12 @@ class ProcessBackend(ExecutionBackend):
                     )
                 )
         else:
-            store.write_delegate_flags(plan.delegate_flags)
+            store.write_delegate_flags(plan.dense_delegate)
             flags_descriptor = store.flags_descriptor()
             for gp in plan.gpu_plans:
-                has_flags = gp.normal_flags is not None
+                has_flags = gp.dense_normal is not None
                 if has_flags:
-                    store.write_normal_flags(gp.gpu, gp.normal_flags)
+                    store.write_normal_flags(gp.gpu, gp.dense_normal)
                 tasks.append(
                     (
                         False,

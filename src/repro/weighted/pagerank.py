@@ -28,11 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.comm import Communicator
-from repro.core.results import IterationRecord
-from repro.exec.plan import GPUPlan, SuperStepPlan, VisitSpec
-from repro.obs.tracer import get_tracer
-from repro.utils.timing import TimingBreakdown, now_s
+from repro.core.engine import StepFrontier
+from repro.exec.plan import GPUPlan, VisitSpec
 from repro.weighted.results import PageRankResult
 
 __all__ = ["PageRank", "SCALE", "DAMP_DEN", "damped"]
@@ -57,10 +54,10 @@ def damped(x, damp_num: int):
 class PageRank:
     """PageRank driver: self-scheduled contribution sweeps.
 
-    The engine dispatches to :meth:`drive`, which owns the outer loop:
-    each round it plans one contribution super-step (a ``contrib_visit``
-    task per subgraph kernel), hands it to the engine's backend, folds
-    the received mass with integer adds, and updates the rank vector.
+    The engine dispatches to :meth:`drive`, which runs the engine's
+    super-step driver over contribution sweeps: each round plans one
+    super-step (a ``contrib_visit`` task per subgraph kernel), folds the
+    received mass with integer adds, and updates the rank vector.
 
     Parameters
     ----------
@@ -105,395 +102,200 @@ class PageRank:
         self.eps = eps
         self.damp_num = int(round(damping * DAMP_DEN))
 
-    # ------------------------------------------------------------------ #
-    # Driver
-    # ------------------------------------------------------------------ #
     def drive(self, engine, init=None, overlay=None) -> PageRankResult:
         if init is not None:
             raise ValueError("pagerank does not support seeded init / repair")
-        graph = engine.graph
-        opts = engine.options
+        frontier = _Sweeps(engine, self, overlay)
+        base = engine.run_steps(frontier)
+        return PageRankResult(
+            damping=self.damping,
+            mode=self.mode,
+            scale=SCALE,
+            ranks=frontier.ranks,
+            **base,
+        )
+
+
+class _Sweeps(StepFrontier):
+    """PageRank's contribution sweeps as a frontier of the engine's driver.
+
+    :meth:`advance` picks the contributing vertices of the next sweep;
+    each step scatters their contributions along their out-edges (one
+    ``contrib_visit`` task per non-empty subgraph queue), the folds add the
+    received mass with integer adds, and :meth:`reduce` lands it in the
+    rank vector.  Overlay edges (not yet compacted into the CSR) relax on
+    the coordinator inside the step, so every backend sees the union graph.
+    """
+
+    #: The contribution fold sums modeled computation in this kernel order.
+    fold_order = ("nn", "dn", "nd", "dd")
+
+    def __init__(self, engine, program: PageRank, overlay) -> None:
+        super().__init__(engine, program, direction_ok=False)
+        graph = self.graph
         n = graph.num_vertices
-        p = graph.num_gpus
         d = graph.num_delegates
         dv = graph.delegate_vertices
-
-        overlay_live = overlay is not None and not overlay.empty
-        if overlay_live:
-            o_src, o_dst, _ = overlay.edges()
+        if overlay is not None and not overlay.empty:
+            self.o_src, self.o_dst, _ = overlay.edges()
         else:
-            o_src = o_dst = np.zeros(0, dtype=np.int64)
+            self.o_src = self.o_dst = np.zeros(0, dtype=np.int64)
+        self.owned = [gpu.owned_global_ids() for gpu in graph.gpus]
 
         # Global out-degrees.  nn/nd rows are a GPU's owned (normal) slots
         # and live only on the owner; dn/dd rows are delegate ids and each
         # GPU holds a disjoint slice of a delegate's out-edges, so summing
         # over GPUs recovers the full degree.  Overlay edges count too.
         outdeg = np.zeros(n, dtype=np.int64)
-        for g in range(p):
-            deg = engine._degrees[g]
-            owned = graph.gpus[g].owned_global_ids()
-            outdeg[owned] += deg["nn"] + deg["nd"]
+        for g, deg in enumerate(self.degrees):
+            outdeg[self.owned[g]] += deg["nn"] + deg["nd"]
             if d:
                 outdeg[dv] += deg["dn"] + deg["dd"]
-        if o_src.size:
-            np.add.at(outdeg, o_src, 1)
-        nz = outdeg > 0
+        if self.o_src.size:
+            np.add.at(outdeg, self.o_src, 1)
+        self.outdeg = outdeg
+        self.nz = outdeg > 0
 
-        teleport = np.int64((SCALE - int(damped(SCALE, self.damp_num))) // n)
-        communicator = Communicator(engine.topology, engine.netmodel)
-
-        records: list[IterationRecord] = []
-        timing = TimingBreakdown()
-        total_edges = 0
-        wall = {"kernels": 0.0, "exchange": 0.0, "delegate_reduce": 0.0}
-        run_started = now_s()
-
-        if self.mode == "fixed":
-            r = np.full(n, SCALE // n, dtype=np.int64)
-            for sweep in range(1, self.iterations + 1):
-                dr = damped(r, self.damp_num)
-                contrib = np.zeros(n, dtype=np.int64)
-                contrib[nz] = dr[nz] // outdeg[nz]
-                dangling = int(dr[~nz].sum())
-                recv, record = self._sweep(
-                    engine, communicator, sweep, contrib, nz, o_src, o_dst, wall
-                )
-                r = teleport + recv + np.int64(dangling // n)
-                self._account(record, records, timing)
-                total_edges += record.total_edges_examined()
+        self.teleport = np.int64((SCALE - int(damped(SCALE, program.damp_num))) // n)
+        self.sweeps = 0
+        if program.mode == "fixed":
+            self.ranks = np.full(n, SCALE // n, dtype=np.int64)
         else:
-            eps_scaled = max(1, int(round(self.eps * SCALE)))
-            r = np.full(n, teleport, dtype=np.int64)
-            pushed = np.zeros(n, dtype=np.int64)
-            sweep = 0
-            while True:
-                dr = damped(r, self.damp_num)
-                want = np.where(nz, dr // np.maximum(outdeg, 1), dr)
-                resid = want - pushed
-                active = nz & (resid * outdeg >= eps_scaled)
-                active_dangling = ~nz & (resid >= eps_scaled)
-                if not active.any() and not active_dangling.any():
-                    break
-                sweep += 1
-                if sweep > opts.max_iterations:
-                    raise RuntimeError(
-                        f"{self.name} exceeded max_iterations="
-                        f"{opts.max_iterations}; eps may be too small for "
-                        "the fixed-point resolution"
-                    )
-                contrib = np.where(active, resid, np.int64(0))
-                dangling = int(resid[active_dangling].sum())
-                recv, record = self._sweep(
-                    engine, communicator, sweep, contrib, active, o_src, o_dst, wall
-                )
-                pushed[active] = want[active]
-                pushed[active_dangling] = want[active_dangling]
-                r = r + recv + np.int64(dangling // n)
-                self._account(record, records, timing)
-                total_edges += record.total_edges_examined()
+            self.eps_scaled = max(1, int(round(program.eps * SCALE)))
+            self.ranks = np.full(n, self.teleport, dtype=np.int64)
+            self.pushed = np.zeros(n, dtype=np.int64)
+        # Contribution sweeps never pull.
+        self.dense_delegate = np.zeros(d, dtype=bool)
 
-        timing.iterations = len(records)
-        wall["traversal"] = now_s() - run_started
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.record_span(
-                "traversal", cat="engine", start=run_started,
-                dur=wall["traversal"],
-                args={"program": self.name, "iterations": len(records)},
-            )
-        base = {
-            "iterations": len(records),
-            "records": records,
-            "timing": timing,
-            "comm_stats": communicator.stats,
-            "total_edges_examined": total_edges,
-            "num_directed_edges": graph.num_directed_edges,
-            "wall_s": wall,
-        }
-        return PageRankResult(
-            damping=self.damping,
-            mode=self.mode,
-            scale=SCALE,
-            ranks=r,
-            **base,
-        )
+    def advance(self) -> bool:
+        program = self.program
+        nz, outdeg = self.nz, self.outdeg
+        if program.mode == "fixed" and self.sweeps == program.iterations:
+            return False
+        dr = damped(self.ranks, program.damp_num)
+        if program.mode == "fixed":
+            self.sweeps += 1
+            self.contrib = np.zeros(self.graph.num_vertices, dtype=np.int64)
+            self.contrib[nz] = dr[nz] // outdeg[nz]
+            self.dangling = int(dr[~nz].sum())
+            self.active = nz
+            return True
+        self.want = np.where(nz, dr // np.maximum(outdeg, 1), dr)
+        resid = self.want - self.pushed
+        self.active = nz & (resid * outdeg >= self.eps_scaled)
+        self.active_dangling = ~nz & (resid >= self.eps_scaled)
+        if not self.active.any() and not self.active_dangling.any():
+            return False
+        self.contrib = np.where(self.active, resid, np.int64(0))
+        self.dangling = int(resid[self.active_dangling].sum())
+        return True
 
-    @staticmethod
-    def _account(record: IterationRecord, records: list, timing: TimingBreakdown):
-        records.append(record)
-        timing.computation += record.computation_s * 1e3
-        timing.local_communication += record.local_communication_s * 1e3
-        timing.remote_normal_exchange += record.remote_normal_exchange_s * 1e3
-        timing.remote_delegate_reduce += record.remote_delegate_reduce_s * 1e3
-        timing.elapsed_ms += record.elapsed_s * 1e3
-        timing.per_iteration.append(record)
-
-    # ------------------------------------------------------------------ #
-    # One contribution super-step
-    # ------------------------------------------------------------------ #
-    def _sweep(
-        self,
-        engine,
-        communicator: Communicator,
-        level: int,
-        contrib: np.ndarray,
-        active: np.ndarray,
-        o_src: np.ndarray,
-        o_dst: np.ndarray,
-        wall: dict,
-    ) -> tuple[np.ndarray, IterationRecord]:
-        """Scatter ``contrib`` along the active vertices' out-edges.
-
-        Returns the per-vertex received mass (an exact integer sum over
-        incoming edges, backend-invariant) and the step's counter record.
-        """
-        graph = engine.graph
-        opts = engine.options
-        netmodel = engine.netmodel
-        p = graph.num_gpus
+    # ---- plan ---------------------------------------------------------- #
+    def begin_step(self) -> None:
+        super().begin_step()
+        graph = self.graph
         d = graph.num_delegates
-        dv = graph.delegate_vertices
+        active_delegates = int(np.count_nonzero(self.active[graph.delegate_vertices])) if d else 0
+        self.sizes = [0, active_delegates]
+        self.local_accum = [np.zeros(gpu.num_local, dtype=np.int64) for gpu in graph.gpus]
+        self.delegate_accum = [np.zeros(d, dtype=np.int64) for _ in graph.gpus]
+        self.nn_outboxes: list[np.ndarray] = []
+        self.nn_payloads: list[np.ndarray] = []
 
-        plan_started = now_s()
-        gpu_plans: list[GPUPlan] = []
-        base_comp = np.zeros(p, dtype=np.float64)
-        active_total = 0
-        active_delegates = int(np.count_nonzero(active[dv])) if d else 0
-        for g in range(p):
-            part = graph.gpus[g]
-            deg = engine._degrees[g]
-            owned = part.owned_global_ids()
-            visits: list[VisitSpec] = []
-            queued = 0
-            for kernel in ("nn", "nd"):
-                if kernel == "nd" and not d:
-                    continue
-                rows = np.flatnonzero((deg[kernel] > 0) & active[owned])
-                if rows.size:
-                    visits.append(
-                        VisitSpec(
-                            kernel,
-                            kernel,
-                            backward=False,
-                            queue=rows,
-                            keep_sources=False,
-                            row_values=contrib[owned[rows]],
-                        )
+    def plan_gpu(self, g: int) -> GPUPlan:
+        """Scatter tasks for the active rows of each of GPU ``g``'s subgraphs."""
+        dv = self.graph.delegate_vertices
+        deg = self.degrees[g]
+        # nn/nd rows are this GPU's owned slots, dn/dd rows delegate ids.
+        kernels = [("nn", self.owned[g])]
+        if self.graph.num_delegates:
+            kernels.append(("nd", self.owned[g]))
+            if self.graph.gpus[g].num_local:
+                kernels.append(("dn", dv))
+            kernels.append(("dd", dv))
+        visits: list[VisitSpec] = []
+        for kernel, ids in kernels:
+            rows = np.flatnonzero((deg[kernel] > 0) & self.active[ids])
+            if rows.size:
+                visits.append(
+                    VisitSpec(
+                        kernel,
+                        kernel,
+                        backward=False,
+                        queue=rows,
+                        keep_sources=False,
+                        row_values=self.contrib[ids[rows]],
                     )
-                    queued += int(rows.size)
-            if d:
-                for kernel in ("dn", "dd"):
-                    if kernel == "dn" and not part.num_local:
-                        continue
-                    rows = np.flatnonzero((deg[kernel] > 0) & active[dv])
-                    if rows.size:
-                        visits.append(
-                            VisitSpec(
-                                kernel,
-                                kernel,
-                                backward=False,
-                                queue=rows,
-                                keep_sources=False,
-                                row_values=contrib[dv[rows]],
-                            )
-                        )
-                        queued += int(rows.size)
-            base_comp[g] = netmodel.iteration_overhead() + netmodel.filter_time(
-                2 * queued
-            )
-            active_total += queued
-            gpu_plans.append(GPUPlan(gpu=g, visits=visits, normal_flags=None))
-
-        def finalize(outputs: list) -> IterationRecord:
-            return self._finalize_sweep(
-                outputs,
-                engine=engine,
-                communicator=communicator,
-                level=level,
-                contrib=contrib,
-                active=active,
-                o_src=o_src,
-                o_dst=o_dst,
-                wall=wall,
-                base_comp=base_comp,
-                active_total=active_total,
-                active_delegates=active_delegates,
-                holder=holder,
-            )
-
-        holder: dict = {}
-        plan = SuperStepPlan(
-            level=level,
-            batched=False,
-            gpu_plans=gpu_plans,
-            finalize=finalize,
-            wall=wall,
-            delegate_flags=np.zeros(d, dtype=bool),
-            provider=engine.provider,
+                )
+        queued = sum(int(spec.queue.size) for spec in visits)
+        self.comp[g] = self.netmodel.iteration_overhead() + self.netmodel.filter_time(
+            2 * queued
         )
-        wall["kernels"] += now_s() - plan_started
-        record = engine.backend.run_super_step(plan)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.record_span(
-                "super-step", cat="engine", start=plan_started,
-                dur=now_s() - plan_started,
-                args={"level": level, "program": self.name},
-            )
-        return holder["recv"], record
+        self.sizes[0] += queued
+        return GPUPlan(gpu=g, visits=visits)
 
-    def _finalize_sweep(
-        self,
-        outputs: list,
-        engine,
-        communicator: Communicator,
-        level: int,
-        contrib: np.ndarray,
-        active: np.ndarray,
-        o_src: np.ndarray,
-        o_dst: np.ndarray,
-        wall: dict,
-        base_comp: np.ndarray,
-        active_total: int,
-        active_delegates: int,
-        holder: dict,
-    ) -> IterationRecord:
-        graph = engine.graph
-        opts = engine.options
-        netmodel = engine.netmodel
-        n = graph.num_vertices
-        p = graph.num_gpus
-        d = graph.num_delegates
-        dv = graph.delegate_vertices
+    # ---- finalize ------------------------------------------------------ #
+    def fold(self, g: int, outs: dict, level: int) -> None:
+        out = outs.get("nn")
+        empty = np.zeros(0, dtype=np.int64)
+        self.nn_outboxes.append(out.discovered if out is not None else empty)
+        self.nn_payloads.append(out.values if out is not None else empty)
+        out = outs.get("dn")
+        if out is not None:
+            np.add.at(self.local_accum[g], out.discovered, out.values)
+        for kernel in ("nd", "dd"):
+            out = outs.get(kernel)
+            if out is not None:
+                np.add.at(self.delegate_accum[g], out.discovered, out.values)
 
-        local_accum = [
-            np.zeros(graph.gpus[g].num_local, dtype=np.int64) for g in range(p)
-        ]
-        delegate_accum = [np.zeros(d, dtype=np.int64) for g in range(p)]
-        nn_outboxes: list[np.ndarray] = []
-        nn_payloads: list[np.ndarray] = []
-        per_gpu_comp = base_comp.copy()
-        edges_examined = {"nn": 0, "nd": 0, "dn": 0, "dd": 0}
-        fold_started = now_s()
-
-        empty_i64 = np.zeros(0, dtype=np.int64)
-        for g in range(p):
-            outs = outputs[g]
-            out_nn = outs.get("nn")
-            if out_nn is not None and out_nn.discovered.size:
-                per_gpu_comp[g] += netmodel.traversal_time(
-                    out_nn.edges_examined, backward=False
-                )
-                edges_examined["nn"] += out_nn.edges_examined
-                nn_outboxes.append(out_nn.discovered)
-                nn_payloads.append(out_nn.values)
-            else:
-                nn_outboxes.append(empty_i64)
-                nn_payloads.append(empty_i64)
-            out_dn = outs.get("dn")
-            if out_dn is not None and out_dn.discovered.size:
-                per_gpu_comp[g] += netmodel.traversal_time(
-                    out_dn.edges_examined, backward=False
-                )
-                edges_examined["dn"] += out_dn.edges_examined
-                np.add.at(local_accum[g], out_dn.discovered, out_dn.values)
-            for kernel in ("nd", "dd"):
-                out = outs.get(kernel)
-                if out is not None and out.discovered.size:
-                    per_gpu_comp[g] += netmodel.traversal_time(
-                        out.edges_examined, backward=False
-                    )
-                    edges_examined[kernel] += out.edges_examined
-                    np.add.at(delegate_accum[g], out.discovered, out.values)
-
-        tracer = get_tracer()
-        exchange_started = now_s()
-        wall["kernels"] += exchange_started - fold_started
-        if tracer.enabled:
-            tracer.record_span(
-                "fold", cat="engine", start=fold_started,
-                dur=exchange_started - fold_started, args={"level": level},
-            )
+    def exchange(self, communicator, level: int) -> tuple:
+        opts = self.engine.options
         exchange = communicator.exchange_normals(
-            nn_outboxes,
+            self.nn_outboxes,
             local_all2all=opts.local_all2all,
             uniquify=opts.uniquify,
-            payloads=nn_payloads,
+            payloads=self.nn_payloads,
             payload_combine=np.add,
             payload_identity=np.int64(0),
         )
-        for g in range(p):
-            inbox = exchange.inboxes[g]
+        for g, inbox in enumerate(exchange.inboxes):
             if inbox.size:
-                np.add.at(local_accum[g], inbox, exchange.payload_inboxes[g])
+                np.add.at(self.local_accum[g], inbox, exchange.payload_inboxes[g])
+        return exchange, 0
 
-        reduce_started = now_s()
-        wall["exchange"] += reduce_started - exchange_started
-        if tracer.enabled:
-            tracer.record_span(
-                "nn-exchange", cat="engine", start=exchange_started,
-                dur=reduce_started - exchange_started, args={"level": level},
-            )
-        reduce_local_s = 0.0
-        reduce_global_s = 0.0
-        merged = None
-        delegate_reduce_needed = d > 0 and any(a.any() for a in delegate_accum)
-        if delegate_reduce_needed:
-            vreduce = communicator.allreduce_delegate_values(
-                delegate_accum, combine=np.add, blocking=opts.blocking_reduce
-            )
-            merged = vreduce.merged
-            reduce_local_s = vreduce.local_time_s
-            reduce_global_s = vreduce.global_time_s
-        reduce_done = now_s()
-        wall["delegate_reduce"] += reduce_done - reduce_started
-        if tracer.enabled:
-            tracer.record_span(
-                "delegate-reduce", cat="engine", start=reduce_started,
-                dur=reduce_done - reduce_started, args={"level": level},
-            )
-
+    def reduce(self, communicator, level: int) -> tuple:
+        graph = self.graph
+        n = graph.num_vertices
         # Assemble the global received-mass vector.  Ownership is disjoint;
         # mass for delegate vertices arrives only through the nd/dd reduce.
         recv = np.zeros(n, dtype=np.int64)
-        for g in range(p):
-            recv[graph.gpus[g].owned_global_ids()] = local_accum[g]
-        if merged is not None:
-            recv[dv] += merged
+        for g, owned in enumerate(self.owned):
+            recv[owned] = self.local_accum[g]
+        reduce_local_s = reduce_global_s = 0.0
+        reduced = graph.num_delegates > 0 and any(a.any() for a in self.delegate_accum)
+        if reduced:
+            vreduce = communicator.allreduce_delegate_values(
+                self.delegate_accum, combine=np.add,
+                blocking=self.engine.options.blocking_reduce,
+            )
+            recv[graph.delegate_vertices] += vreduce.merged
+            reduce_local_s = vreduce.local_time_s
+            reduce_global_s = vreduce.global_time_s
 
-        # Overlay edges (not yet compacted into the CSR) relax on the
-        # coordinator so every backend sees the union graph.
-        overlay_edges = 0
-        if o_src.size:
-            take = active[o_src]
+        if self.o_src.size:
+            take = self.active[self.o_src]
             overlay_edges = int(np.count_nonzero(take))
             if overlay_edges:
-                np.add.at(recv, o_dst[take], contrib[o_src[take]])
-                per_gpu_comp[0] += netmodel.traversal_time(
-                    overlay_edges, backward=False
-                )
-                edges_examined["overlay"] = overlay_edges
-        holder["recv"] = recv
+                np.add.at(recv, self.o_dst[take], self.contrib[self.o_src[take]])
+                self.comp[0] += self.netmodel.traversal_time(overlay_edges, backward=False)
+                self.edges_examined["overlay"] = overlay_edges
 
-        computation_s = float(per_gpu_comp.max()) if p else 0.0
-        local_comm_s = exchange.local_time_s + reduce_local_s
-        remote_normal_s = exchange.remote_time_s
-        remote_delegate_s = reduce_global_s
-        comm_total = local_comm_s + remote_normal_s + remote_delegate_s
-        overlap = opts.overlap_efficiency * min(computation_s, comm_total)
-        elapsed_s = computation_s + comm_total - overlap
-
-        return IterationRecord(
-            iteration=level,
-            normal_frontier_size=active_total,
-            delegate_frontier_size=active_delegates,
-            edges_examined=edges_examined,
-            directions={"nd": 0, "dn": 0, "dd": 0},
-            discovered=int(np.count_nonzero(recv)),
-            delegate_reduce=delegate_reduce_needed,
-            computation_s=computation_s,
-            local_communication_s=local_comm_s,
-            remote_normal_exchange_s=remote_normal_s,
-            remote_delegate_reduce_s=remote_delegate_s,
-            elapsed_s=elapsed_s,
-        )
+        # Land the sweep in the rank vector.
+        spread = np.int64(self.dangling // n)
+        if self.program.mode == "fixed":
+            self.ranks = self.teleport + recv + spread
+        else:
+            self.pushed[self.active] = self.want[self.active]
+            self.pushed[self.active_dangling] = self.want[self.active_dangling]
+            self.ranks = self.ranks + recv + spread
+        return reduced, reduce_local_s, reduce_global_s, int(np.count_nonzero(recv))

@@ -26,7 +26,7 @@ from repro.bench.compare import compare_artifacts
 from repro.bench.runner import run_suite
 from repro.bench.scenarios import Scenario
 from repro.core.engine import TraversalEngine
-from repro.core.programs import BFSLevels
+from repro.core.programs import BatchedBFSLevels, BFSLevels
 from repro.graph.rmat import generate_rmat
 from repro.obs import (
     NULL_TRACER,
@@ -46,6 +46,7 @@ from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
 from repro.storage import apply_storage
 from repro.utils.timing import now_s
+from repro.weighted import DeltaSteppingSSSP, PageRank
 
 LAYOUT = ClusterLayout(num_ranks=2, gpus_per_rank=2)
 
@@ -240,6 +241,62 @@ class TestTraceInvariance:
         finally:
             engine.close()
         assert NULL_TRACER.events == []
+
+
+# --------------------------------------------------------------------------- #
+# Span attribution: every program's super-step has the same children
+# --------------------------------------------------------------------------- #
+STEP_CHILDREN = ("plan+direction", "kernels", "fold", "nn-exchange", "delegate-reduce")
+
+
+@pytest.fixture(scope="module")
+def weighted_graph():
+    return build_partitions(generate_rmat(8, rng=3, weights_seed=5), LAYOUT, 4)
+
+
+def _run_bfs(engine):
+    engine.run(BFSLevels(3))
+
+
+def _run_batched(engine):
+    engine.run_batch(BatchedBFSLevels([3, 3, 0, 17]))
+
+
+def _run_sssp(engine):
+    engine.run(DeltaSteppingSSSP(3, delta=0.25))
+
+
+def _run_pagerank(engine):
+    engine.run(PageRank(iterations=3))
+
+
+class TestSuperStepSpans:
+    @pytest.mark.parametrize(
+        "run", [_run_bfs, _run_batched, _run_sssp, _run_pagerank],
+        ids=["bfs", "batched-bfs", "delta-sssp", "pagerank"],
+    )
+    def test_every_super_step_has_each_child_once(self, fresh_tracer, weighted_graph, run):
+        engine = TraversalEngine(weighted_graph, backend="inline")
+        try:
+            run(engine)
+        finally:
+            engine.close()
+        events = fresh_tracer.events
+        steps = [e for e in events if e["name"] == "super-step"]
+        assert len(steps) >= 2
+        children = [e for e in events if e["name"] in STEP_CHILDREN]
+        slack_us = 1e-3
+        for step in steps:
+            inside = [
+                c["name"] for c in children
+                if step["ts"] <= c["ts"]
+                and c["ts"] + c["dur"] <= step["ts"] + step["dur"] + slack_us
+            ]
+            assert sorted(inside) == sorted(STEP_CHILDREN), (
+                f"super-step {step['args']} holds {inside}"
+            )
+        (traversal,) = [e for e in events if e["name"] == "traversal"]
+        assert traversal["args"]["iterations"] == len(steps)
 
 
 # --------------------------------------------------------------------------- #
