@@ -33,6 +33,7 @@ surfaces as counter drift, i.e. a backend correctness bug.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 from datetime import datetime, timezone
@@ -44,6 +45,7 @@ __all__ = [
     "SCHEMA",
     "SCHEMA_VERSION",
     "BenchArtifactError",
+    "host_fingerprint",
     "new_artifact",
     "validate_artifact",
     "save_artifact",
@@ -74,6 +76,33 @@ class BenchArtifactError(ValueError):
     """A benchmark artifact is missing, malformed, or from an unknown schema."""
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as cpuinfo:
+            for line in cpuinfo:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass  # not Linux: fall back to the platform's processor name
+    return platform.processor()
+
+
+def host_fingerprint() -> dict:
+    """What a wall-clock measurement depends on besides the code.
+
+    ``nproc`` and ``numpy`` are the keys :func:`repro.bench.compare_artifacts`
+    checks: a 1-core record is not comparable with a 2-core one, and numpy's
+    set operations changed speed across releases.
+    """
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+        "cpu": _cpu_model(),
+    }
+
+
 def new_artifact(
     records: dict, label: str = "", quick: bool = False, created: str | None = None
 ) -> dict:
@@ -100,11 +129,7 @@ def new_artifact(
         else datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "label": str(label),
         "quick": bool(quick),
-        "host": {
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "platform": platform.platform(),
-        },
+        "host": host_fingerprint(),
         "scenarios": dict(records),
     }
 

@@ -19,7 +19,10 @@ and a *new* (candidate) artifact and classifies each one:
 Wall-clock comparisons are tolerance-gated because they depend on the host;
 counters are compared exactly because they must not.  A changed spec (same
 name, different graph/options) downgrades the scenario to informational —
-timings of different workloads are not comparable.
+timings of different workloads are not comparable.  When the two artifacts
+come from hosts that differ in core count or numpy version, the report
+carries a one-line ``host_note`` saying so (artifacts written before the
+host fingerprint recorded ``nproc`` are compared on what they have).
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ __all__ = ["ScenarioDelta", "CompareReport", "compare_artifacts"]
 #: a ``gate_phase`` key — out-of-core build scenarios gate on
 #: ``graph_build``, because the build *is* their workload.
 GATE_PHASE = "traversal"
+
+#: Host fingerprint keys whose difference makes wall clocks incomparable.
+HOST_KEYS = ("nproc", "numpy")
 
 
 @dataclass
@@ -80,6 +86,7 @@ class CompareReport:
 
     tolerance: float
     deltas: list = field(default_factory=list)
+    host_note: str = ""
 
     def by_status(self, status: str) -> list:
         return [d for d in self.deltas if d.status == status]
@@ -115,6 +122,7 @@ class CompareReport:
     def as_dict(self) -> dict:
         return {
             "tolerance": self.tolerance,
+            "host_note": self.host_note,
             "ok": self.ok,
             "counters_ok": self.counters_ok,
             "regressions": len(self.regressions),
@@ -131,7 +139,7 @@ class CompareReport:
 
     def summary_lines(self) -> list:
         """Human-readable report, one line per scenario plus a verdict."""
-        lines = []
+        lines = [self.host_note] if self.host_note else []
         for delta in self.deltas:
             if delta.old_wall_s is None or delta.new_wall_s is None:
                 lines.append(f"  {delta.name:<28} {delta.status:<12} {delta.note}")
@@ -172,6 +180,19 @@ def _counter_note(old: dict, new: dict) -> str | None:
     return None
 
 
+def _host_note(old: dict, new: dict) -> str:
+    """Name the :data:`HOST_KEYS` on which both artifacts record different values."""
+    old_host, new_host = old.get("host", {}), new.get("host", {})
+    diffs = [
+        f"{key} {old_host[key]} -> {new_host[key]}"
+        for key in HOST_KEYS
+        if key in old_host and key in new_host and old_host[key] != new_host[key]
+    ]
+    if not diffs:
+        return ""
+    return f"note: different hosts ({', '.join(diffs)}); wall-clock deltas are not like for like"
+
+
 def compare_artifacts(
     old: dict, new: dict, tolerance: float = 0.2, min_delta_s: float = 0.010
 ) -> CompareReport:
@@ -197,7 +218,7 @@ def compare_artifacts(
         raise ValueError(f"min_delta_s must be non-negative, got {min_delta_s}")
     validate_artifact(old, source="old artifact")
     validate_artifact(new, source="new artifact")
-    report = CompareReport(tolerance=tolerance)
+    report = CompareReport(tolerance=tolerance, host_note=_host_note(old, new))
     old_scenarios, new_scenarios = old["scenarios"], new["scenarios"]
 
     for name in sorted(set(old_scenarios) | set(new_scenarios)):

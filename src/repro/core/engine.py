@@ -97,6 +97,7 @@ from repro.exec.providers import resolve_provider
 from repro.partition.subgraphs import PartitionedGraph
 from repro.utils.bitmask import BatchBitmask, Bitmask
 from repro.obs.tracer import get_tracer
+from repro.utils.sets import sorted_union, sorted_unique
 from repro.utils.timing import TimingBreakdown, now_s
 
 __all__ = [
@@ -835,7 +836,7 @@ class StepFrontier:
         layout = self.graph.layout
         owners = layout.flat_gpu_of(ids)
         slots = layout.local_index_of(ids)
-        for g in np.unique(owners):
+        for g in sorted_unique(owners):
             mask = owners == g
             yield int(g), mask, slots[mask]
 
@@ -1015,7 +1016,7 @@ class ValueFrontier(StepFrontier):
             return
         state = self.state
         if self.mask_channel:
-            found = np.unique(out.discovered)
+            found = sorted_unique(out.discovered)
             # Drop delegates that are already visited (their status is
             # replicated, so this local filter needs no communication
             # and avoids pointless mask reductions).
@@ -1089,7 +1090,7 @@ class ValueFrontier(StepFrontier):
             fresh_recv = state.update_normals(g, slots, values, program.accept)
             fresh_dn = self.fresh_from_dn[g]
             if fresh_dn.size or fresh_recv.size:
-                state.normal_frontiers[g] = np.union1d(fresh_dn, fresh_recv)
+                state.normal_frontiers[g] = sorted_union(fresh_dn, fresh_recv, runs=True)
             else:
                 state.normal_frontiers[g] = _empty()
             discovered += int(state.normal_frontiers[g].size)
@@ -1169,13 +1170,17 @@ class ValueFrontier(StepFrontier):
             delegate_ids[is_delegate], vals[is_delegate], program.accept
         )
         if fresh.size:
-            state.delegate_frontier = np.union1d(state.delegate_frontier, fresh)
+            state.delegate_frontier = sorted_union(
+                state.delegate_frontier, fresh, runs=True
+            )
             record.discovered += int(fresh.size)
         normal_vals = vals[~is_delegate]
         for g, mask, slots in self._by_owner(ids[~is_delegate]):
             fresh = state.update_normals(g, slots, normal_vals[mask], program.accept)
             if fresh.size:
-                state.normal_frontiers[g] = np.union1d(state.normal_frontiers[g], fresh)
+                state.normal_frontiers[g] = sorted_union(
+                    state.normal_frontiers[g], fresh, runs=True
+                )
                 record.discovered += int(fresh.size)
 
 
@@ -1218,7 +1223,7 @@ class LaneFrontier(StepFrontier):
             )
         owners = graph.layout.flat_gpu_of(sources[~is_delegate])
         slots = graph.layout.local_index_of(sources[~is_delegate])
-        for g in np.unique(owners):
+        for g in sorted_unique(owners):
             mask = owners == g
             self.visited_n[int(g)].set_lanes(
                 np.asarray(slots[mask], dtype=np.int64), lanes[~is_delegate][mask]

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.partition.subgraphs import PartitionedGraph
 from repro.utils.bitmask import Bitmask
+from repro.utils.sets import sorted_unique
 
 __all__ = ["UNVISITED", "TraversalState", "BFSState"]
 
@@ -193,7 +194,7 @@ class BFSState(TraversalState):
         slots = np.asarray(slots, dtype=np.int64).ravel()
         if slots.size == 0:
             return slots
-        slots = np.unique(slots)
+        slots = sorted_unique(slots)
         return self.update_normals(
             gpu, slots, np.full(slots.size, level, dtype=np.int64)
         )
@@ -203,7 +204,7 @@ class BFSState(TraversalState):
         delegate_ids = np.asarray(delegate_ids, dtype=np.int64).ravel()
         if delegate_ids.size == 0:
             return delegate_ids
-        delegate_ids = np.unique(delegate_ids)
+        delegate_ids = sorted_unique(delegate_ids)
         return self.update_delegates(
             delegate_ids, np.full(delegate_ids.size, level, dtype=np.int64)
         )

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.graph.edgelist import EdgeList
 from repro.utils.rng import make_rng
+from repro.utils.sets import sorted_union, sorted_unique
 
 __all__ = ["EdgeDelta", "AppliedDelta", "UPDATE_STYLES", "update_stream"]
 
@@ -211,7 +212,7 @@ def update_stream(
     degrees = np.bincount(edges.src, minlength=n).astype(np.int64)
     lo = np.minimum(edges.src, edges.dst)
     hi = np.maximum(edges.src, edges.dst)
-    pool = np.unique(lo * np.int64(n) + hi)
+    pool = sorted_unique(lo * np.int64(n) + hi)
 
     deletes_per_batch = int(round(delete_fraction * edges_per_batch))
     inserts_per_batch = edges_per_batch - deletes_per_batch
@@ -231,7 +232,9 @@ def update_stream(
             dst[loops] = (dst[loops] + 1) % n
             np.add.at(degrees, src, 1)
             np.add.at(degrees, dst, 1)
-            pool = np.union1d(pool, np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst))
+            pool = sorted_union(
+                pool, np.minimum(src, dst) * np.int64(n) + np.maximum(src, dst), runs=True
+            )
         else:
             src = dst = np.zeros(0, dtype=np.int64)
         if deletes_per_batch and pool.size:

@@ -42,6 +42,7 @@ from repro.core.state import UNVISITED
 from repro.dynamic.delta import AppliedDelta
 from repro.dynamic.graph import DynamicEngine
 from repro.partition.subgraphs import PartitionedGraph
+from repro.utils.sets import sorted_unique
 from repro.weighted.sssp import DeltaSteppingSSSP
 
 __all__ = [
@@ -84,7 +85,7 @@ def seeded_init(
         normal_values.append(vals)
     delegate_values = values[graph.delegate_vertices].copy()
 
-    frontier = np.unique(np.asarray(frontier, dtype=np.int64))
+    frontier = sorted_unique(np.asarray(frontier, dtype=np.int64))
     delegate_ids = graph.delegate_id_of_vertex(frontier)
     is_delegate = delegate_ids >= 0
     delegate_frontier = delegate_ids[is_delegate]

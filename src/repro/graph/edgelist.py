@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.sets import sorted_unique
+
 __all__ = ["EdgeList"]
 
 
@@ -144,7 +146,7 @@ class EdgeList:
             return EdgeList(s[keep], d[keep], self.num_vertices, weights=w)
         keys = self.src * np.int64(self.num_vertices) + self.dst
         if self.weights is None:
-            uniq = np.unique(keys)
+            uniq = sorted_unique(keys)
             return EdgeList(uniq // self.num_vertices, uniq % self.num_vertices, self.num_vertices)
         order = np.argsort(keys, kind="stable")
         sk = keys[order]

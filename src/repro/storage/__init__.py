@@ -43,6 +43,7 @@ from repro.storage.edgestream import (
 from repro.storage.extsort import external_build
 from repro.storage.segments import (
     StoreHandle,
+    StoreIntegrityError,
     load_graph_store,
     open_store,
     save_graph_store,
@@ -66,6 +67,7 @@ __all__ = [
     "write_edge_chunks",
     "external_build",
     "StoreHandle",
+    "StoreIntegrityError",
     "load_graph_store",
     "open_store",
     "save_graph_store",

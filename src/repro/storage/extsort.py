@@ -50,6 +50,7 @@ from repro.obs.tracer import get_tracer
 from repro.storage.codec import varint_encode, varint_sizes
 from repro.storage.segments import SegmentWriter, _census_metadata
 from repro.utils.rng import deterministic_hash_permutation
+from repro.utils.sets import sorted_unique
 from repro.utils.timing import now_s
 
 __all__ = ["external_build", "DEFAULT_BLOCK_EDGES"]
@@ -277,7 +278,7 @@ def external_build(
         src, dst = src[keep], dst[keep]
         if src.size == 0:
             continue
-        keys = np.unique(np.concatenate([src * n64 + dst, dst * n64 + src]))
+        keys = sorted_unique(np.concatenate([src * n64 + dst, dst * n64 + src]))
         path = scratch / f"run_{len(runs):05d}.bin"
         with open(path, "wb") as fh:
             fh.write(keys.tobytes())
@@ -297,7 +298,9 @@ def external_build(
         readers = [r for r in readers if not r.exhausted]
         while readers:
             bound = min(int(r.buffer[-1]) for r in readers)
-            merged = np.unique(np.concatenate([r.take_upto(bound) for r in readers]))
+            merged = sorted_unique(
+                np.concatenate([r.take_upto(bound) for r in readers]), runs=True
+            )
             degrees += np.bincount(merged // n64, minlength=n)
             out_fh.write(merged.tobytes())
             num_edges += merged.size

@@ -41,6 +41,7 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "SegmentWriter",
     "StoreHandle",
+    "StoreIntegrityError",
     "open_store",
     "save_graph_store",
     "load_graph_store",
@@ -142,6 +143,20 @@ class SegmentWriter:
             fh.write("\n")
 
 
+class StoreIntegrityError(ValueError):
+    """A store's segment file does not match what its manifest records."""
+
+
+def _segment_extent(arrays: dict) -> int:
+    """Bytes ``graph.bin`` must hold: the end of the last array the manifest
+    records (the writer leaves no trailing padding)."""
+    end = 0
+    for entry in arrays.values():
+        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        end = max(end, int(entry["offset"]) + count * np.dtype(entry["dtype"]).itemsize)
+    return end
+
+
 class StoreHandle:
     """An attached store: the manifest plus one long-lived read-only mmap."""
 
@@ -163,6 +178,13 @@ class StoreHandle:
             self.segment_path = self.directory / SEGMENT_NAME
             self._file = open(self.segment_path, "rb")
             size = os.fstat(self._file.fileno()).st_size
+            expected = _segment_extent(self.manifest["arrays"])
+            if size != expected:
+                self._file.close()
+                raise StoreIntegrityError(
+                    f"{self.segment_path}: segment holds {size} bytes but the "
+                    f"manifest records {expected} (truncated or corrupted store)"
+                )
             self._mm = (
                 mmap.mmap(self._file.fileno(), size, access=mmap.ACCESS_READ) if size else None
             )

@@ -13,6 +13,10 @@ Public modules
 ``rng``
     Deterministic random-number and hashing helpers (the paper randomises
     vertex numbers with a deterministic hash after edge generation).
+``sets``
+    Sort-based set algebra on integer id arrays (``sorted_unique``,
+    ``sorted_union``): what ``np.unique``/``np.union1d`` return, without
+    numpy's hash path.
 ``stats``
     Statistics helpers, most importantly the geometric mean used by the paper
     for reporting traversal rates across 140 random sources.
@@ -23,6 +27,7 @@ Public modules
 
 from repro.utils.bitmask import Bitmask
 from repro.utils.rng import deterministic_hash_permutation, make_rng, splitmix64
+from repro.utils.sets import sorted_union, sorted_unique
 from repro.utils.stats import geometric_mean, harmonic_mean, summarize
 from repro.utils.timing import SimClock, Timer, TimingBreakdown
 
@@ -31,6 +36,8 @@ __all__ = [
     "deterministic_hash_permutation",
     "make_rng",
     "splitmix64",
+    "sorted_union",
+    "sorted_unique",
     "geometric_mean",
     "harmonic_mean",
     "summarize",

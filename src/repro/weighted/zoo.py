@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.cluster.comm import Communicator
 from repro.core.results import IterationRecord
+from repro.utils.sets import sorted_unique
 from repro.utils.timing import TimingBreakdown, now_s
 from repro.weighted.results import HookingResult, TriangleCountResult
 
@@ -220,7 +221,7 @@ class TriangleCount:
         hi = np.maximum(src, dst)
         keep = lo != hi
         lo, hi = lo[keep], hi[keep]
-        packed = np.unique(lo * np.int64(n) + hi)
+        packed = sorted_unique(lo * np.int64(n) + hi)
         lo = packed // n
         hi = packed - lo * n
 

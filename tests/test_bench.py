@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
@@ -142,7 +143,15 @@ class TestArtifact:
     def test_host_provenance_recorded(self):
         artifact = make_art({})
         assert artifact["host"]["numpy"] == np.__version__
+        assert artifact["host"]["nproc"] == os.cpu_count()
+        assert isinstance(artifact["host"]["cpu"], str)
         assert artifact["created"].endswith("Z")
+
+    def test_artifact_without_fingerprint_keys_validates(self):
+        artifact = make_art({"a": make_record()})
+        for key in ("nproc", "cpu"):
+            del artifact["host"][key]
+        assert validate_artifact(artifact) is artifact
 
 
 # --------------------------------------------------------------------------- #
@@ -215,6 +224,29 @@ class TestCompare:
     def test_malformed_input_rejected(self):
         with pytest.raises(BenchArtifactError):
             compare_artifacts({"schema": "nope"}, make_art({}))
+
+    def test_host_mismatch_adds_one_note_line(self):
+        old = make_art({"a": make_record()})
+        new = make_art({"a": make_record()})
+        assert compare_artifacts(old, new).host_note == ""
+        old["host"].update(nproc=1, numpy="2.2.6")
+        new["host"].update(nproc=2, numpy="2.4.6")
+        report = compare_artifacts(old, new)
+        notes = [line for line in report.summary_lines() if line.startswith("note:")]
+        assert notes == [report.summary_lines()[0]]
+        assert "nproc 1 -> 2" in notes[0] and "numpy 2.2.6 -> 2.4.6" in notes[0]
+        assert report.as_dict()["host_note"] == notes[0]
+        assert report.ok
+
+    def test_old_artifact_without_nproc_compares_on_numpy_only(self):
+        old = make_art({"a": make_record()})
+        new = make_art({"a": make_record()})
+        del old["host"]["nproc"], old["host"]["cpu"]
+        new["host"]["nproc"] = 64
+        assert compare_artifacts(old, new).host_note == ""
+        old["host"]["numpy"] = "1.26.4"
+        note = compare_artifacts(old, new).host_note
+        assert "numpy 1.26.4" in note and "nproc" not in note
 
     def test_summary_lines_and_dict(self):
         old = make_art({"a": make_record(0.100)})

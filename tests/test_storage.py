@@ -35,6 +35,7 @@ from repro.partition.layout import ClusterLayout
 from repro.partition.subgraphs import build_partitions
 from repro.storage import (
     STORAGE_NAMES,
+    StoreIntegrityError,
     apply_storage,
     chunks_from_edgelist,
     compress_csr,
@@ -191,6 +192,35 @@ class TestGraphStore:
                 handle.array("no.such.array")
         finally:
             handle.close()
+
+
+class TestStoreIntegrity:
+    @pytest.fixture(scope="class")
+    def scale10(self):
+        return build_partitions(generate_rmat(10, rng=4), ClusterLayout.from_notation("1x2x2"), 32)
+
+    @pytest.mark.parametrize("storage", ["mmap", "compressed"])
+    @pytest.mark.parametrize("cut", ["half", "8 bytes"])
+    def test_truncated_segment_raises_named_error(self, scale10, tmp_path, storage, cut):
+        save_graph_store(scale10, tmp_path / "s", storage=storage)
+        segment = tmp_path / "s" / "graph.bin"
+        full = segment.stat().st_size
+        short = full // 2 if cut == "half" else full - 8
+        os.truncate(segment, short)
+        with pytest.raises(StoreIntegrityError) as info:
+            load_graph_store(tmp_path / "s")
+        message = str(info.value)
+        assert str(segment.resolve()) in message
+        assert f"holds {short} bytes" in message
+        assert f"records {full}" in message
+        assert isinstance(info.value, ValueError)
+
+    def test_grown_segment_raises_named_error(self, scale10, tmp_path):
+        save_graph_store(scale10, tmp_path / "s", storage="mmap")
+        with open(tmp_path / "s" / "graph.bin", "ab") as fh:
+            fh.write(b"\0" * 8)
+        with pytest.raises(StoreIntegrityError):
+            load_graph_store(tmp_path / "s")
 
 
 # --------------------------------------------------------------------------- #
